@@ -23,7 +23,6 @@ from .orbits import (
     forced_topology,
     is_ech_generator,
     k_invariant,
-    orbit_set_action,
     orbit_set_from_json,
     orbit_set_score,
     total_score,
@@ -311,7 +310,7 @@ def _score(cfg: RunConfig, bundle: ReportBundle):
         bundle.add_table(
             "score",
             ["object", "score", "action", "is_generator"],
-            [("orbit-set", orbit_set_score(alpha), float(orbit_set_action(alpha)), is_ech_generator(alpha))],
+            [("orbit-set", orbit_set_score(alpha), float(alpha.action), is_ech_generator(alpha))],
         )
     bundle.add_verdict("score_computed", True)
 

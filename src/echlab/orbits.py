@@ -8,7 +8,8 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -46,9 +47,11 @@ class SimpleOrbit:
     kind: str
     period: int = 1
 
+    # tol -> m -> CZ index / partition classification of the m-fold cover
+    _cz_memo: dict = field(default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False)
+    _cls_memo: dict = field(default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        object.__setattr__(self, "_cz_memo", {})
-        object.__setattr__(self, "_cls_memo", {})
         if self.kind not in KINDS:
             raise StructuralError(f"unknown orbit kind {self.kind!r}")
         if not (self.action > 0):
@@ -66,61 +69,60 @@ class SimpleOrbit:
 
 
 class OrbitSet:
-    """A finite multiset of simple orbits with positive multiplicities."""
+    """An immutable finite multiset of simple orbits with positive multiplicities.
+
+    Entries are sorted by label and the total action is computed once, at
+    construction: one Fraction over the LCM of the entry denominators when
+    every action is a Fraction, a float otherwise.  ``cz_top`` and
+    ``orbit_set_score`` depend on a tolerance and are memoised per tolerance.
+    """
+
+    __slots__ = ("_items", "_action", "_cz", "_cz_tol", "_score", "_score_tol")
 
     def __init__(self, entries: Iterable[Tuple[SimpleOrbit, int]] = ()):
-        self._entries: Dict[str, Tuple[SimpleOrbit, int]] = {}
-        self._action = None
-        self._score = None
-        self._cz = None
+        by_label: Dict[str, Tuple[SimpleOrbit, int]] = {}
         for orbit, mult in entries:
             if mult < 1:
                 raise StructuralError(f"multiplicity must be >= 1, got {mult} at {orbit.label}")
-            if orbit.label in self._entries:
+            if orbit.label in by_label:
                 raise StructuralError(f"duplicate orbit id {orbit.label!r}")
-            self._entries[orbit.label] = (orbit, mult)
+            by_label[orbit.label] = (orbit, mult)
+        items = self._items = tuple(by_label[k] for k in sorted(by_label))
+        if all(isinstance(o.action, Fraction) for o, _ in items):
+            common = math.lcm(*(o.action.denominator for o, _ in items))
+            self._action = Fraction(sum(m * o.action.numerator * (common // o.action.denominator)
+                                        for o, m in items), common)
+        else:
+            self._action = float(sum((m * o.action for o, m in items), Fraction(0)))
+        self._cz = self._cz_tol = self._score = self._score_tol = None
 
-    def items(self):
-        return [self._entries[k] for k in sorted(self._entries)]
+    def items(self) -> Tuple[Tuple[SimpleOrbit, int], ...]:
+        return self._items
+
+    @property
+    def action(self):
+        """Multiplicity-weighted total action; the empty set has action 0."""
+        return self._action
 
     def multiplicity(self, label: str) -> int:
-        entry = self._entries.get(label)
-        return entry[1] if entry else 0
-
-    def orbit(self, label: str) -> SimpleOrbit:
-        return self._entries[label][0]
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._entries
+        for orbit, mult in self._items:
+            if orbit.label == label:
+                return mult
+        return 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._items)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitSet):
             return NotImplemented
-        return {k: (o.label, m) for k, (o, m) in self._entries.items()} == {
-            k: (o.label, m) for k, (o, m) in other._entries.items()
-        }
+        return [(o.label, m) for o, m in self._items] == [(o.label, m) for o, m in other._items]
 
     def degree(self, mapping_torus: bool = False) -> int:
         """Sum of multiplicities, weighted by orbit periods in the mapping-torus setting."""
         if mapping_torus:
-            return sum(o.period * m for o, m in self.items())
-        return sum(m for _, m in self.items())
-
-
-def orbit_set_action(alpha: OrbitSet):
-    """Multiplicity-weighted total action; empty set has action 0."""
-    if alpha._action is None:
-        total = Fraction(0)
-        exact = True
-        for orbit, mult in alpha.items():
-            if not isinstance(orbit.action, Fraction):
-                exact = False
-            total = total + mult * orbit.action
-        alpha._action = total if exact else float(total)
-    return alpha._action
+            return sum(o.period * m for o, m in self._items)
+        return sum(m for _, m in self._items)
 
 
 def is_ech_generator(alpha: OrbitSet) -> bool:
@@ -129,7 +131,7 @@ def is_ech_generator(alpha: OrbitSet) -> bool:
 
 
 def _orbit_cz(orbit: SimpleOrbit, m: int, tol: float) -> int:
-    memo = orbit._cz_memo
+    memo = orbit._cz_memo[tol]
     if m not in memo:
         memo[m] = cz_index(orbit.theta, m, tol=tol)
     return memo[m]
@@ -137,8 +139,8 @@ def _orbit_cz(orbit: SimpleOrbit, m: int, tol: float) -> int:
 
 def cz_top(alpha: OrbitSet, tol: float = 1e-12) -> int:
     """Sum over entries of the Conley-Zehnder index of the m_i-fold cover."""
-    if alpha._cz is None:
-        alpha._cz = sum(_orbit_cz(o, m, tol) for o, m in alpha.items())
+    if alpha._cz is None or alpha._cz_tol != tol:
+        alpha._cz_tol, alpha._cz = tol, sum(_orbit_cz(o, m, tol) for o, m in alpha.items())
     return alpha._cz
 
 
@@ -153,7 +155,7 @@ class CurveEnds:
     def __post_init__(self):
         if not self.multiplicities:
             raise StructuralError(f"ends record at {self.orbit_label} lists no end")
-        if any(m < 1 for m in self.multiplicities):
+        if min(self.multiplicities) < 1:
             raise StructuralError(f"end multiplicities must be positive at {self.orbit_label}")
 
     @property
@@ -165,9 +167,12 @@ class CurveEnds:
         return len(self.multiplicities)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CurveData:
-    """Combinatorial data of one U-map curve C = C0 u C1.
+    """Combinatorial data of one U-map curve C = C0 u C1, immutable once built.
+
+    ``action`` (the endpoint action difference, by Stokes) and ``j0`` (see
+    ``j0_of_curve``) are computed at construction.
 
     ``positive_ends`` / ``negative_ends`` record the ends of the embedded
     component C1; at each listed orbit the deficit against the endpoint
@@ -182,17 +187,23 @@ class CurveData:
     alpha: OrbitSet
     beta: OrbitSet
     c_tau: int = 0
+    action: Union[Fraction, float] = field(init=False, repr=False, compare=False)
+    j0: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 0:
             raise StructuralError("genus must be nonnegative")
-        self.positive_ends = tuple(self.positive_ends)
-        self.negative_ends = tuple(self.negative_ends)
+        object.__setattr__(self, "positive_ends", tuple(self.positive_ends))
+        object.__setattr__(self, "negative_ends", tuple(self.negative_ends))
         self._check_side(self.positive_ends, self.alpha, "positive")
         self._check_side(self.negative_ends, self.beta, "negative")
-        act = self.action
+        act = self.alpha.action - self.beta.action
         if act < 0:
             raise StructuralError(f"curve action must be nonnegative, got {act}")
+        object.__setattr__(self, "action", act)
+        e = sum(2 * ends.count - (0 if ends.c0_present else 1)
+                for side in (self.positive_ends, self.negative_ends) for ends in side)
+        object.__setattr__(self, "j0", -2 + 2 * self.genus + e)
 
     @staticmethod
     def _check_side(ends: Tuple[CurveEnds, ...], endpoint: OrbitSet, side: str):
@@ -201,23 +212,18 @@ class CurveData:
             if e.orbit_label in seen:
                 raise StructuralError(f"repeated ends record at {e.orbit_label} ({side})")
             seen.add(e.orbit_label)
-            if e.orbit_label not in endpoint:
-                raise StructuralError(f"{side} ends at {e.orbit_label} missing from endpoint set")
             total = endpoint.multiplicity(e.orbit_label)
-            if e.total > total:
+            if total == 0:
+                raise StructuralError(f"{side} ends at {e.orbit_label} missing from endpoint set")
+            deficit = total - e.total
+            if deficit < 0:
                 raise StructuralError(
                     f"{side} end multiplicities at {e.orbit_label} exceed endpoint multiplicity"
                 )
-            deficit = total - e.total
             if (deficit > 0) != e.c0_present:
                 raise StructuralError(
                     f"c0_present flag at {e.orbit_label} ({side}) inconsistent with deficit {deficit}"
                 )
-
-    @property
-    def action(self):
-        """Endpoint action difference (Stokes bookkeeping)."""
-        return orbit_set_action(self.alpha) - orbit_set_action(self.beta)
 
     def is_cylinder(self) -> bool:
         """C1 a cylinder: genus 0 with exactly one positive and one negative end."""
@@ -232,20 +238,12 @@ def j0_of_curve(c: CurveData) -> int:
     e(C) sums, over every orbit where C1 has ends, twice the number of ends
     minus one when no trivial cylinder covers that orbit.
     """
-    cached = getattr(c, "_j0", None)
-    if cached is None:
-        e = 0
-        for side in (c.positive_ends, c.negative_ends):
-            for ends in side:
-                e += 2 * ends.count - (0 if ends.c0_present else 1)
-        cached = -2 + 2 * c.genus + e
-        c._j0 = cached
-    return cached
+    return c.j0
 
 
 def ech_index_from_j0(c: CurveData, tol: float = 1e-12) -> int:
     """ECH index from the index-difference identity: I = J0 + 2 c_tau + CZ^top(alpha) - CZ^top(beta)."""
-    return j0_of_curve(c) + 2 * c.c_tau + cz_top(c.alpha, tol) - cz_top(c.beta, tol)
+    return c.j0 + 2 * c.c_tau + cz_top(c.alpha, tol) - cz_top(c.beta, tol)
 
 
 def forced_topology(j0: int, full_coverage: bool, max_genus: int = 3, max_ends: int = 6):
@@ -271,7 +269,7 @@ def forced_topology(j0: int, full_coverage: bool, max_genus: int = 3, max_ends: 
 
 
 def _orbit_classify(orbit: SimpleOrbit, m: int, tol: float) -> Tuple[bool, bool, bool]:
-    memo = orbit._cls_memo
+    memo = orbit._cls_memo[tol]
     if m not in memo:
         pp = partition_positive(orbit.theta, m, tol)
         pn = partition_negative(orbit.theta, m, tol)
@@ -291,12 +289,12 @@ def component_classification(orbit: SimpleOrbit, m: int, tol: float = 1e-12) -> 
 
 def orbit_set_score(alpha: OrbitSet, tol: float = 1e-12) -> int:
     """Score S = (# p+ components) + (# special components) - (# p- components)."""
-    if alpha._score is None:
+    if alpha._score is None or alpha._score_tol != tol:
         score = 0
         for orbit, mult in alpha.items():
             is_pp, is_pn, special = _orbit_classify(orbit, mult, tol)
-            score += int(is_pp) + int(special) - int(is_pn)
-        alpha._score = score
+            score += is_pp + special - is_pn
+        alpha._score_tol, alpha._score = tol, score
     return alpha._score
 
 
@@ -307,7 +305,7 @@ def curve_score(c: CurveData, tol: float = 1e-12) -> int:
 
 def total_score(c: CurveData, tol: float = 1e-12) -> int:
     """T(C) = S(C) + 3 y(C) with y = J0 - 2."""
-    return curve_score(c, tol) + 3 * (j0_of_curve(c) - 2)
+    return curve_score(c, tol) + 3 * (c.j0 - 2)
 
 
 def _k_of_set(alpha: OrbitSet) -> int:
@@ -317,7 +315,7 @@ def _k_of_set(alpha: OrbitSet) -> int:
 
 def k_invariant(c: CurveData) -> int:
     """K(C) = K(alpha) - K(beta) + 2 y(C)."""
-    return _k_of_set(c.alpha) - _k_of_set(c.beta) + 2 * (j0_of_curve(c) - 2)
+    return _k_of_set(c.alpha) - _k_of_set(c.beta) + 2 * (c.j0 - 2)
 
 
 @dataclass
@@ -327,8 +325,8 @@ class Tower:
     curves: List[CurveData]
 
     def __post_init__(self):
-        for i in range(len(self.curves) - 1):
-            if not self.curves[i].beta == self.curves[i + 1].alpha:
+        for i, (upper, lower) in enumerate(zip(self.curves, self.curves[1:])):
+            if upper.beta is not lower.alpha and not upper.beta == lower.alpha:
                 raise StructuralError(f"tower adjacency fails between curves {i} and {i + 1}")
 
     def __len__(self):
@@ -354,23 +352,29 @@ def tower_audit(t: Tower, action_threshold, tol: float = 1e-12) -> dict:
     """
     n = len(t)
     scores = [total_score(c, tol) for c in t.curves]
-    ys = [j0_of_curve(c) - 2 for c in t.curves]
+    ys = [c.j0 - 2 for c in t.curves]
     actions = [c.action for c in t.curves]
     indices = [ech_index_from_j0(c, tol) for c in t.curves]
 
     lhs_score = sum(scores)
     rhs_score = orbit_set_score(t.top, tol) - orbit_set_score(t.bottom, tol) + 3 * sum(ys)
-    lhs_action = sum(actions, Fraction(0)) if all(isinstance(a, Fraction) for a in actions) else sum(actions)
-    rhs_action = orbit_set_action(t.top) - orbit_set_action(t.bottom)
+    if all(isinstance(a, Fraction) for a in actions) and isinstance(action_threshold, (int, Fraction)):
+        # exact integer numerators over one common denominator
+        common = math.lcm(action_threshold.denominator, *(a.denominator for a in actions))
+        keys = [a.numerator * (common // a.denominator) for a in actions]
+        threshold = action_threshold.numerator * (common // action_threshold.denominator)
+        lhs_action = Fraction(sum(keys), common)
+    else:  # mixed number types: sum and compare the values themselves
+        keys, threshold, lhs_action = actions, action_threshold, sum(actions)
+    rhs_action = t.top.action - t.bottom.action
 
-    total_action = lhs_action
-    budget = float(total_action) / float(action_threshold) if action_threshold > 0 else math.inf
-    high_action = [i for i, a in enumerate(actions) if a > action_threshold]
+    budget = float(lhs_action) / float(action_threshold) if action_threshold > 0 else math.inf
+    high_action = [i for i, k in enumerate(keys) if k > threshold]
 
     negative_low_action = [
         i
         for i, c in enumerate(t.curves)
-        if actions[i] <= action_threshold and not c.is_cylinder() and scores[i] < 0
+        if scores[i] < 0 and keys[i] <= threshold and not c.is_cylinder()
     ]
 
     return {
@@ -456,8 +460,7 @@ def curve_to_json(c: CurveData) -> dict:
             for e in side
         ]
 
-    labels = {o.label: o for o, _ in c.alpha.items()}
-    labels.update({o.label: o for o, _ in c.beta.items()})
+    labels = {o.label: o for o, _ in c.alpha.items() + c.beta.items()}
     return {
         "genus": c.genus,
         "c_tau": c.c_tau,
@@ -490,10 +493,7 @@ def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> C
 
 
 def tower_to_json(t: Tower) -> dict:
-    labels: Dict[str, SimpleOrbit] = {}
-    for c in t.curves:
-        for o, _ in list(c.alpha.items()) + list(c.beta.items()):
-            labels[o.label] = o
+    labels = {o.label: o for c in t.curves for o, _ in c.alpha.items() + c.beta.items()}
     curves = []
     for c in t.curves:
         d = curve_to_json(c)

@@ -23,9 +23,6 @@ from .orbits import (
     OrbitSet,
     SimpleOrbit,
     Tower,
-    ech_index_from_j0,
-    is_ech_generator,
-    orbit_set_action,
 )
 from .rotations import Partition, Rotation, cz_index, partition_negative, partition_positive
 
@@ -108,7 +105,9 @@ def random_tower(
     """A structurally valid tower of n curves with exact Fraction actions."""
     pool = orbit_pool(rng, pool_size)
     sets = [random_orbit_set(rng, pool, max_orbits, max_mult) for _ in range(n + 1)]
-    sets.sort(key=orbit_set_action, reverse=True)
+    # sort on the exact integers action * L, with L the LCM of the pool's denominators
+    common = math.lcm(*(o.action.denominator for o in pool))
+    sets.sort(key=lambda s: s.action.numerator * (common // s.action.denominator), reverse=True)
     curves = []
     for top, bottom in zip(sets, sets[1:]):
         curves.append(
@@ -261,12 +260,12 @@ def low_action_family(
                 beta_entries, neg_ends = build_side(neg, "n", serial)
                 alpha = OrbitSet(alpha_entries)
                 beta = OrbitSet(beta_entries)
-                if orbit_set_action(alpha) < orbit_set_action(beta):
+                if alpha.action < beta.action:
                     # rescale one top orbit so the action difference is tiny but positive
                     top, mult0 = alpha_entries[0]
                     bumped = SimpleOrbit(
                         top.label,
-                        top.action + orbit_set_action(beta) - orbit_set_action(alpha) + Fraction(1, 997),
+                        top.action + beta.action - alpha.action + Fraction(1, 997),
                         top.theta,
                         top.kind,
                         top.period,

@@ -59,7 +59,7 @@ def report(number: int, passed: bool, detail: str):
 
 
 def test_criterion_01_ellipsoid_weyl_law():
-    t0 = time.time()
+    t0 = time.perf_counter()
     e = Ellipsoid(1.0, SQRT2)
     vals = spectrum_values(e, count=200001)
     cs = np.array([v[0] for v in vals])
@@ -76,7 +76,7 @@ def test_criterion_01_ellipsoid_weyl_law():
         float(np.abs(cs[K : 2 * K + 1] ** 2 / (2 * ks[K : 2 * K + 1]) - SQRT2).max())
         for K in (1000, 10000, 100000)
     ]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (
         dev_at <= 0.02 * SQRT2
         and decade[0] > decade[1] > decade[2]
@@ -87,7 +87,7 @@ def test_criterion_01_ellipsoid_weyl_law():
 
 
 def test_criterion_02_two_orbit_census():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(20260809)
     samples = [(1.0, SQRT2), (1.0, (1 + math.sqrt(5)) / 2), (3.0, math.pi)]
     while len(samples) < 20:
@@ -97,12 +97,12 @@ def test_criterion_02_two_orbit_census():
         e = Ellipsoid(a, b)
         census = simple_orbit_census(e, 100.0 * max(a, b))
         ok = ok and [c["label"] for c in census] == ["gamma1", "gamma2"]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(2, ok and elapsed <= 1.0, f"20 samples, exactly two core circles each, {elapsed:.2f}s")
 
 
 def test_criterion_03_product_of_periods():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(7)
     samples = [(1.0, SQRT2), (1.0, (1 + math.sqrt(5)) / 2), (3.0, math.pi)]
     while len(samples) < 10:
@@ -113,13 +113,13 @@ def test_criterion_03_product_of_periods():
         rep = product_of_periods_check(e)
         quad = volume_quadrature(e, n_mu=160, n_angle=8)
         worst = max(worst, abs(quad - rep["product_of_periods"]) / rep["volume"])
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(3, worst <= 1e-6 and elapsed <= 5.0,
            f"worst relative gap {worst:.2e} <= 1e-6 over 10 samples, {elapsed:.2f}s")
 
 
 def test_criterion_04_return_map():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(5)
     worst = 0.0
     for a, b in [(1.0, SQRT2), (1.0, 2.0), (2.0, math.pi), (1.5, 2.5), (1.0, 1.0)]:
@@ -131,13 +131,13 @@ def test_criterion_04_return_map():
             delta = abs((ang - pt[1]) % TWO_PI - expected)
             delta = min(delta, TWO_PI - delta)
             worst = max(worst, delta, abs(r2 - pt[0]), abs(rt - a))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(4, worst <= 1e-9 and elapsed <= 1.0,
            f"rotation/return-time error {worst:.2e} <= 1e-9 over 500 points, {elapsed:.2f}s")
 
 
 def test_criterion_05_partition_lemmas():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     checked = skipped = 0
     # reversal lemma across the rational grid: items apply below the
@@ -174,14 +174,14 @@ def test_criterion_05_partition_lemmas():
     for m in range(1, 51):
         for theta in (Fraction(1, m + 1), Rotation.real(0.9 / (m + 1))):
             ok = ok and partition_positive(theta, m).parts == (1,) * m
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(5, ok and elapsed <= 5.0,
            f"{checked} reversal cells pass ({skipped} degenerate-cover cells scoped out), "
            f"hyperbolic and small-rotation clauses exact, {elapsed:.2f}s")
 
 
 def test_criterion_06_cz_properties():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for v in range(1, 13):
         for u in range(0, 2 * v + 1):
@@ -196,12 +196,12 @@ def test_criterion_06_cz_properties():
             idx = cz_index(Rotation.real(theta), m)
             ok = ok and idx % 2 == 1
             ok = ok and abs(idx / (2 * m) - theta) <= 1 / m + 1e-12
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(6, ok and elapsed <= 1.0, f"parity and |CZ/2m - theta| <= 1/m exact, {elapsed:.2f}s")
 
 
 def test_criterion_07_forced_cylinder():
-    t0 = time.time()
+    t0 = time.perf_counter()
     solutions = forced_topology(2, True, max_genus=3, max_ends=6)
     brute = {
         (g, ends)
@@ -209,7 +209,7 @@ def test_criterion_07_forced_cylinder():
         for ends in range(2, 7)
         if -2 + 2 * g + 2 * ends == 2
     }
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = solutions == {(0, 2)} == brute and elapsed <= 1.0
     report(7, ok, f"J0 = 2 with full coverage forces (genus, ends) = (0, 2), {elapsed:.2f}s")
 
@@ -217,21 +217,21 @@ def test_criterion_07_forced_cylinder():
 def test_criterion_08_tower_telescoping():
     rng = random.Random(31415)
     towers = [random_tower(rng, 1000) for _ in range(100)]
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for t in towers:
         rep = tower_audit(t, Fraction(1, 2))
         ok = ok and rep["score_telescoping_ok"] and rep["action_telescoping_ok"]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(8, ok and elapsed <= 2.0,
            f"both telescoping identities exact on 100 towers of 1000 curves, audit {elapsed:.2f}s")
 
 
 def test_criterion_09_score_scan():
-    t0 = time.time()
+    t0 = time.perf_counter()
     scan = score_falsification_scan()
     free = score_falsification_scan(require_u_indices=False)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (
         scan["violations"] == 0
         and free["violations"] == 0
@@ -244,7 +244,7 @@ def test_criterion_09_score_scan():
 
 
 def test_criterion_10_complex_validity():
-    t0 = time.time()
+    t0 = time.perf_counter()
     profiles = [
         linear_profile(0.73 * TWO_PI, support_end=0.9, name="lin073"),
         linear_profile(0.41 * TWO_PI, support_end=0.85, name="lin041"),
@@ -257,14 +257,14 @@ def test_criterion_10_complex_validity():
         for d in range(1, 9):
             rep = build_complex(f, d).validate()  # raises on any violation
             total += rep["generators"]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(10, elapsed <= 60.0,
            f"d^2 = 0, action decrease, grading drop 1, unique-class rank pattern over "
            f"5 profiles x d <= 8 ({total} generators), {elapsed:.2f}s")
 
 
 def test_criterion_11_spectral_axioms():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ds = (16, 32, 64, 128)
     identity_ok = all(spectral_invariant_cd(zero_profile(), d, validate=False) == 0.0 for d in ds)
 
@@ -300,16 +300,16 @@ def test_criterion_11_spectral_axioms():
         weyl_ok = weyl_ok and all(a >= b for a, b in zip(devs, devs[1:]))
         weyl_ok = weyl_ok and devs[-1] <= 0.10 * cal
 
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = identity_ok and chain_ok and hl_ok and weyl_ok and elapsed <= 300.0
     report(11, ok, f"identity exact, truncation chains exact, Hofer-Lipschitz slack >= 0 on "
                    f"20 pairs, Weyl deviation decreasing and <= 10% at d = 128, {elapsed:.2f}s")
 
 
 def test_criterion_12_infinite_twist():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = infinite_twist_experiment(power_profile(-3), imax=20, dmax=32)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (
         rep["calabi_strictly_increasing"]
         and rep["monotone_chain_ok"]
@@ -334,7 +334,7 @@ def test_criterion_12_calabi_exceeds_50_by_i20():
 
 
 def test_criterion_13_determinism(tmp_path):
-    t0 = time.time()
+    t0 = time.perf_counter()
     bundles = []
     for run_dir in ("one", "two"):
         b = run(RunConfig("selftest", {}, seed=20260809))
@@ -347,5 +347,5 @@ def test_criterion_13_determinism(tmp_path):
     identical = names == sorted(os.listdir(bundles[1])) and all(
         (bundles[0] / n).read_bytes() == (bundles[1] / n).read_bytes() for n in names
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(13, identical, f"selftest bundles byte-identical across runs ({len(names)} files), {elapsed:.2f}s")

@@ -1,10 +1,15 @@
 """Orbit sets, curve indices, scores, towers, and their wire formats."""
 
+import dataclasses
+import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echlab.orbits import (
     ELLIPTIC,
@@ -25,7 +30,6 @@ from echlab.orbits import (
     is_ech_generator,
     j0_of_curve,
     k_invariant,
-    orbit_set_action,
     orbit_set_from_json,
     orbit_set_score,
     orbit_set_to_json,
@@ -34,7 +38,7 @@ from echlab.orbits import (
     tower_from_json,
     tower_to_json,
 )
-from echlab.rotations import Rotation
+from echlab.rotations import DegenerateRotationError, Rotation
 from echlab.sampling import random_tower
 
 
@@ -58,13 +62,11 @@ def test_orbit_kind_consistency():
 
 
 def test_orbit_set_action_examples():
-    assert orbit_set_action(OrbitSet()) == 0
-    assert orbit_set_action(OrbitSet([(GAMMA_A, 2)])) == 10
-    import math
-
+    assert OrbitSet().action == 0
+    assert OrbitSet([(GAMMA_A, 2)]).action == 10
     g1 = SimpleOrbit("g1", 1.0, Rotation.real(1 / math.sqrt(2)), ELLIPTIC)
     g2 = SimpleOrbit("g2", math.sqrt(2), Rotation.real(math.sqrt(2)), ELLIPTIC)
-    assert abs(orbit_set_action(OrbitSet([(g1, 3), (g2, 1)])) - (3 + math.sqrt(2))) < 1e-12
+    assert abs(OrbitSet([(g1, 3), (g2, 1)]).action - (3 + math.sqrt(2))) < 1e-12
 
 
 def test_generator_rule():
@@ -281,3 +283,161 @@ def test_json_roundtrips():
     t = random_tower(rng, 20)
     t2 = tower_from_json(json.loads(json.dumps(tower_to_json(t))))
     assert tower_audit(t2, Fraction(1, 2)) == tower_audit(t, Fraction(1, 2))
+
+
+def test_orbit_sets_and_curves_are_immutable():
+    s = OrbitSet([(GAMMA_A, 2)])
+    with pytest.raises(AttributeError):
+        s.action = Fraction(1)
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    c = cylinder(GAMMA_A, GAMMA_B)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.genus = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.j0 = 7
+    assert (c.action, c.j0) == (GAMMA_A.action - GAMMA_B.action, j0_of_curve(c))
+
+
+def test_cached_indices_respect_tolerance():
+    # 3 * 0.3333 = 0.9999 is degenerate at tol 1e-3 but not at the default
+    # tolerance; a value cached at one tolerance must not answer for another.
+    def fresh():
+        return SimpleOrbit("x", Fraction(1), Rotation.real(0.3333), ELLIPTIC)
+
+    with pytest.raises(DegenerateRotationError):
+        cz_top(OrbitSet([(fresh(), 3)]), tol=1e-3)
+    s = OrbitSet([(fresh(), 3)])
+    assert cz_top(s) == 1
+    with pytest.raises(DegenerateRotationError):
+        cz_top(s, tol=1e-3)
+    with pytest.raises(DegenerateRotationError):
+        cz_top(OrbitSet([(s.items()[0][0], 3)]), tol=1e-3)
+    assert cz_top(s) == 1
+
+    s = OrbitSet([(fresh(), 3)])
+    assert orbit_set_score(s) == orbit_set_score(OrbitSet([(fresh(), 3)]))
+    with pytest.raises(DegenerateRotationError):
+        orbit_set_score(s, tol=1e-3)
+    with pytest.raises(DegenerateRotationError):
+        component_classification(s.items()[0][0], 3, tol=1e-3)
+
+
+# -- oracle: the naive Fraction sums that the integer bookkeeping replaced ----
+
+POOL_THETAS = (Fraction(1, 5), Fraction(7, 10), Fraction(2, 3), Fraction(3, 8), Fraction(4, 11))
+exact_actions = st.fractions(min_value=Fraction(1, 48), max_value=60, max_denominator=48)
+float_actions = st.floats(min_value=0.01, max_value=60.0)
+thresholds = st.one_of(
+    st.fractions(min_value=-1, max_value=40, max_denominator=48),
+    st.integers(-1, 40),
+    st.floats(min_value=-1.0, max_value=40.0),
+)
+
+
+@st.composite
+def orbit_pools(draw):
+    """Orbits o0..o5 with exact, float or mixed actions."""
+    actions = draw(st.sampled_from([exact_actions, float_actions, st.one_of(exact_actions, float_actions)]))
+    return [
+        SimpleOrbit(f"o{i}", draw(actions), Rotation.rational(draw(st.sampled_from(POOL_THETAS))), ELLIPTIC)
+        for i in range(6)
+    ]
+
+
+@st.composite
+def entry_lists(draw, pool):
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=4, unique_by=lambda o: o.label))
+    return [(o, draw(st.integers(1, 5))) for o in chosen]
+
+
+def naive_action(entries):
+    """Reference action: the left-to-right Fraction sum in label order, a float if any action is."""
+    total = sum((m * o.action for o, m in sorted(entries, key=lambda e: e[0].label)), Fraction(0))
+    return total if all(isinstance(o.action, Fraction) for o, _ in entries) else float(total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_orbit_set_action_matches_naive_sum(data):
+    entries = data.draw(entry_lists(data.draw(orbit_pools())))
+    want = naive_action(entries)
+    got = OrbitSet(entries).action
+    assert got == want
+    assert type(got) is type(want)
+
+
+@st.composite
+def towers(draw):
+    pool = draw(orbit_pools())
+    entry_sets = draw(st.lists(entry_lists(pool), min_size=2, max_size=8))
+    entry_sets.sort(key=naive_action, reverse=True)
+    sets = [(OrbitSet(entries), entries) for entries in entry_sets]
+    curves = []
+    for (alpha, _), (beta, _) in zip(sets, sets[1:]):
+        sides = []
+        for endpoint in (alpha, beta):
+            ends = []
+            for o, m in endpoint.items():
+                c1 = draw(st.integers(0, m))
+                if c1:
+                    parts = (c1,) if draw(st.booleans()) else (1,) * c1
+                    ends.append(CurveEnds(o.label, parts, c0_present=c1 < m))
+            sides.append(tuple(ends))
+        curves.append(CurveData(draw(st.integers(0, 2)), sides[0], sides[1], alpha, beta))
+    return Tower(curves), [entries for _, entries in sets]
+
+
+@settings(max_examples=150, deadline=None)
+@given(towers(), st.data())
+def test_tower_audit_matches_naive_sums(tower_and_entries, data):
+    t, entries = tower_and_entries
+    actions = [naive_action(a) - naive_action(b) for a, b in zip(entries, entries[1:])]
+    lhs = sum(actions, Fraction(0))
+    rhs = naive_action(entries[0]) - naive_action(entries[-1])
+    # a random threshold, then one at a curve's action and just off it with a
+    # denominator foreign to the tower
+    at = data.draw(st.sampled_from(actions))
+    for threshold in (data.draw(thresholds), at, at + Fraction(1, 97), at - Fraction(1, 97)):
+        rep = tower_audit(t, threshold)
+        assert rep["action_telescoping"] == {"lhs": lhs, "rhs": rhs}
+        assert rep["action_telescoping_ok"] == (lhs == rhs)
+        if all(isinstance(a, Fraction) for a in actions):
+            assert type(rep["action_telescoping"]["lhs"]) is Fraction
+        assert rep["high_action_count"] == sum(1 for a in actions if a > threshold)
+        assert rep["negative_low_action_noncylinders"] == [
+            i
+            for i, (c, a) in enumerate(zip(t.curves, actions))
+            if a <= threshold and not c.is_cylinder() and total_score(c) < 0
+        ]
+
+
+def test_float_lane_audits_like_the_exact_tower():
+    t = random_tower(random.Random(2024), 300)
+    threshold = Fraction(1, 2)
+    assert all(abs(c.action - threshold) > 1e-9 for c in t.curves)  # no float rounding can flip a comparison
+    exact = tower_audit(t, threshold)
+
+    doc = json.loads(json.dumps(tower_to_json(t)))
+    for o in doc["orbits"]:
+        o["action"] = o["action"][0] / o["action"][1]
+    floats = tower_from_json(doc)
+    assert all(type(c.action) is float for c in floats.curves)
+
+    for rep in (tower_audit(floats, threshold), tower_audit(t, float(threshold))):
+        assert rep["score_telescoping_ok"]
+        assert rep["score_telescoping"] == exact["score_telescoping"]
+        assert rep["high_action_count"] == exact["high_action_count"]
+        assert rep["negative_low_action_noncylinders"] == exact["negative_low_action_noncylinders"]
+    assert math.isclose(tower_audit(floats, threshold)["action_telescoping"]["lhs"],
+                        exact["action_telescoping"]["lhs"], rel_tol=1e-12)
+
+
+def test_random_tower_stream_pinned():
+    # digest recorded with the Fraction-sum bookkeeping: the same random
+    # stream must keep giving the same tower
+    t = random_tower(random.Random(31415), 1000)
+    text = json.dumps(tower_to_json(t), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f85608e4d0f8dea8d4913065ca57a6e5bfc4b7b60898311d8213c2a0b2cca985"
+    )
