@@ -1,8 +1,9 @@
 """Command-line entry point: deterministic experiment orchestration.
 
-Exit codes: 0 when every verdict passes, 1 when any fails, 2 on usage or
-schema errors.  All randomized sweeps consume only the seeded generator, so
-identical configurations produce byte-identical output bundles.
+Exit codes: 0 when every verdict passes, 1 when any fails, 2 on usage,
+schema or generator-cap errors.  All randomized sweeps consume only the
+seeded generator, so identical configurations produce byte-identical output
+bundles.
 """
 
 from __future__ import annotations
@@ -501,7 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = config_from_args(args)
         bundle = run(config)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError) as ex:
+    except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError, pfh.ComplexSizeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except SystemExit as ex:

@@ -207,23 +207,36 @@ def cached_spectrum_values(e: Ellipsoid, count: int, cap: int = 10**7) -> np.nda
 
     When ECHLAB_CACHE_DIR is set, results are stored as .npy files (binary
     layout v1: a float64 vector of the first ``count`` values, one file per
-    (a, b, count) triple) and reused across runs.
+    (a, b, count) triple) and reused across runs.  A file is written to a
+    temporary name in the cache directory and moved into place with
+    ``os.replace``, so no reader sees a partial file; a missing, unreadable
+    or wrong-length file is a cache miss.
     """
     import os
+    import tempfile
 
     cache_dir = os.environ.get("ECHLAB_CACHE_DIR")
     path = None
     if cache_dir:
         key = f"spectrum_v1_{float(e.a)!r}_{float(e.b)!r}_{count}.npy"
         path = os.path.join(cache_dir, key)
-        if os.path.exists(path):
+        try:
             data = np.load(path)
-            if len(data) == count:
+            if data.shape == (count,):
                 return data
+        except (OSError, ValueError, EOFError):
+            pass
     data = np.array([v[0] for v in spectrum_values(e, count=count, cap=cap)])
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        np.save(path, data)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return data
 
 

@@ -9,6 +9,13 @@ the anchored action m * (2 pi p E(r) - q H(r)) per edge, which equals
 m q * integral_0^slope 2 pi E(r(tau)) d tau and therefore strictly decreases
 under rounding whenever the twist angle is non-increasing.
 
+The hot paths are exact integer code.  A level is named by its id, its
+position in the slope-descending census, so slope comparisons are id
+comparisons; an edge is an int tuple (level_id, mult, h) and a generator is
+(edges, ref).  Each level's action coefficient is computed once.  Homology
+ranks and persistence births come from one filtration-order reduction over
+the two-element field, with clearing.
+
 The spectral invariant c_d is the calibrated radial staircase value
 sum_{k=1..d} H(k/(d+1)).  The calibration constants and the identification
 of this value with the distinguished homology class are recorded in the run
@@ -19,12 +26,10 @@ drop, rank pattern) is what the validation suite pins down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .rotations import _hull_path
 from .twist import (
-    PeriodicCircle,
     TwistProfile,
     calabi,
     disk_area_level,
@@ -44,41 +49,18 @@ class ComplexSizeError(RuntimeError):
     """Generator enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class LevelEdge:
-    """One used level: primitive direction (q, p), multiplicity, h label count."""
-
-    p: int
-    q: int
-    mult: int
-    h: int  # 0 or 1
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-
-@dataclass(frozen=True)
-class PathGenerator:
-    """A degree-d generator: level edges in decreasing slope order, reference padding."""
-
-    edges: Tuple[LevelEdge, ...]
-    ref: int
-
-    @property
-    def degree(self) -> int:
-        return sum(e.q * e.mult for e in self.edges) + self.ref
-
-    @property
-    def h_count(self) -> int:
-        return sum(e.h for e in self.edges)
-
-    def key(self) -> tuple:
-        return (tuple((e.p, e.q, e.mult, e.h) for e in self.edges), self.ref)
+Edge = Tuple[int, int, int]  # (level_id, mult, h)
+Generator = Tuple[Tuple[Edge, ...], int]  # (edges, ref)
 
 
 class TwistComplex:
-    """The filtered chain complex of one (profile, degree) instance."""
+    """The filtered chain complex of one (profile, degree) instance.
+
+    Level ids index ``levels`` (slope descending); the slope-0 reference
+    edge has id ``len(levels)``.  An edge is the int tuple
+    ``(level_id, mult, h)``; a generator is ``(edges, ref)`` with edges in
+    increasing id order and is its own key in ``index``.
+    """
 
     def __init__(
         self,
@@ -92,75 +74,72 @@ class TwistComplex:
         self.profile = profile
         self.degree = degree
         self.levels = periodic_census(profile, degree, tol)  # sorted slope descending
-        self._level_by_slope: Dict[Fraction, PeriodicCircle] = {
-            Fraction(c.p, c.q): c for c in self.levels
-        }
-        self.generators: List[PathGenerator] = []
-        self._enumerate(generator_cap)
-        self.index: Dict[tuple, int] = {g.key(): i for i, g in enumerate(self.generators)}
+        self.ref_id = len(self.levels)
+        self._p = [c.p for c in self.levels] + [0]
+        self._q = [c.q for c in self.levels] + [1]
+        self._id_of = {(p, q): i for i, (p, q) in enumerate(zip(self._p, self._q))}
+        H = profile.hamiltonian
+        self._coef = [
+            TWO_PI * c.p * disk_area_level(c.radius) - c.q * H(c.radius) for c in self.levels
+        ]
+        self.generators = self._enumerate(generator_cap)
+        self.index: Dict[Generator, int] = {g: i for i, g in enumerate(self.generators)}
         self.gradings = [self._grading(g) for g in self.generators]
         self.actions = [self._action(g) for g in self.generators]
+        self._corners: Dict[Tuple[int, Optional[int]], Optional[Tuple[Edge, ...]]] = {}
         self._boundaries: Optional[List[List[int]]] = None
+        self._reduction: Optional[Tuple[Dict[int, int], List[int]]] = None
 
     # -- enumeration -----------------------------------------------------------
 
-    def _enumerate(self, cap: int):
-        d = self.degree
-        levels = self.levels
+    def _enumerate(self, cap: int) -> List[Generator]:
+        gens: List[Generator] = []
+        q = self._q
+        # least step width among levels i.., so a budget below it ends the path
+        min_q = q[:-1] + [self.degree + 1]
+        for i in range(len(self.levels) - 1, -1, -1):
+            min_q[i] = min(min_q[i], min_q[i + 1])
 
-        def recurse(i: int, budget: int, chosen: List[LevelEdge]):
-            if len(self.generators) > cap:
-                est = len(self.generators)
+        def recurse(i: int, budget: int, chosen: List[Edge]):
+            if len(gens) > cap:
                 raise ComplexSizeError(
-                    f"generator cap {cap} exceeded (at least {est} generators); "
+                    f"generator cap {cap} exceeded (at least {len(gens)} generators); "
                     "lower the degree or cap the census"
                 )
-            if i == len(levels):
-                self.generators.append(PathGenerator(tuple(chosen), budget))
+            if budget < min_q[i]:
+                gens.append((tuple(chosen), budget))
                 return
-            lvl = levels[i]
             recurse(i + 1, budget, chosen)
             m = 1
-            while m * lvl.q <= budget:
+            while m * q[i] <= budget:
                 for h in (0, 1):
-                    chosen.append(LevelEdge(lvl.p, lvl.q, m, h))
-                    recurse(i + 1, budget - m * lvl.q, chosen)
+                    chosen.append((i, m, h))
+                    recurse(i + 1, budget - m * q[i], chosen)
                     chosen.pop()
                 m += 1
 
-        recurse(0, d, [])
+        recurse(0, self.degree, [])
+        return gens
 
-    # -- geometry ----------------------------------------------------------------
+    # -- grading and action --------------------------------------------------------
 
-    def _vertices(self, g: PathGenerator) -> List[Tuple[int, int]]:
-        """Lattice vertices of the path: level edges, then the reference edge."""
-        verts: List[Tuple[int, int]] = [(0, 0)]
-        x, y = verts[-1]
-        for e in g.edges:
-            x, y = x + e.q * e.mult, y + e.p * e.mult
-            verts.append((x, y))
-        if g.ref:
-            verts.append((x + g.ref, y))
-        return verts
-
-    def _lattice_count(self, g: PathGenerator) -> int:
-        """Lattice points in the region 0 <= y <= path(x), 0 <= x <= degree."""
-        verts = self._vertices(g)
-        count = 0
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            dx, dy = x1 - x0, y1 - y0
-            for x in range(x0, x1):
-                count += y0 + (dy * (x - x0)) // dx + 1
-        xe, ye = verts[-1]
-        count += ye + 1
-        return count
-
-    def _grading(self, g: PathGenerator) -> int:
-        """2 (L - (d+1)) - h + d: the flat reference path sits in grading d."""
+    def _grading(self, g: Generator) -> int:
+        """2 (L - (d+1)) - h + d, L the lattice points in 0 <= y <= path(x),
+        0 <= x <= degree: the flat reference path sits in grading d."""
+        edges, ref = g
+        count = y = 0
+        for i, m, _ in edges:
+            # columns x = 0..mq-1 under m primitive steps (q, p) from height y:
+            # sum of y + 1 + floor(p x / q), with sum_{r<q} floor(p r / q) =
+            # (p-1)(q-1)/2 for coprime p, q
+            p, q = self._p[i], self._q[i]
+            count += m * q * (y + 1) + p * q * m * (m - 1) // 2 + m * (p - 1) * (q - 1) // 2
+            y += m * p
+        count += (ref + 1) * (y + 1)
         d = self.degree
-        return 2 * (self._lattice_count(g) - (d + 1)) - g.h_count + d
+        return 2 * (count - (d + 1)) - sum(e[2] for e in edges) + d
 
-    def _action(self, g: PathGenerator) -> float:
+    def _action(self, g: Generator) -> float:
         """Relative (anchored) action: enclosed area-flux against the reference.
 
         Per level edge this is m * (2 pi p E(r) - q H(r)), which equals
@@ -168,111 +147,65 @@ class TwistComplex:
         and strictly decreases under corner rounding for monotone profiles.
         """
         total = 0.0
-        for e in g.edges:
-            circ = self._level_by_slope[e.slope]
-            total += e.mult * (
-                TWO_PI * e.p * disk_area_level(circ.radius)
-                - e.q * self.profile.hamiltonian(circ.radius)
-            )
+        for i, m, _ in g[0]:
+            total += m * self._coef[i]
         return total
 
     # -- differential ---------------------------------------------------------------
 
-    def _level_part(self, g: PathGenerator) -> Tuple[List[Tuple[int, int]], List[LevelEdge]]:
-        """Vertices and edges of the rounding-eligible tail (levels + reference)."""
-        x0, y0 = 0, 0
-        verts = [(x0, y0)]
-        edges = list(g.edges)
-        x, y = x0, y0
-        for e in g.edges:
-            x, y = x + e.q * e.mult, y + e.p * e.mult
-            verts.append((x, y))
-        if g.ref:
-            edges.append(LevelEdge(0, 1, g.ref, 0))
-            verts.append((x + g.ref, y))
-        return verts, edges
+    def _corner_hull(self, a: int, b: Optional[int]) -> Optional[Tuple[Edge, ...]]:
+        """Edges rounding the corner between one primitive step of level ``a``
+        and one of level ``b`` (``None``: the degree wall), labels stripped.
 
-    @staticmethod
-    def _upper_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        hull: List[Tuple[int, int]] = []
-        for p in points:
-            while len(hull) >= 2:
-                (ox, oy), (ax, ay) = hull[-2], hull[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
-        return hull
-
-    def _rounded_zone(
-        self, verts, edges, corner: int, terminal: bool
-    ) -> Optional[List[LevelEdge]]:
-        """Edges replacing the corner after edge ``corner``, labels stripped.
-
-        ``corner`` indexes the incoming edge; the outgoing edge is corner+1
-        (the degree wall when ``terminal``).  Works on primitive steps: one
-        step back along the incoming edge, one step forward along the
-        outgoing edge, replaced by the maximal concave lattice path strictly
-        below the corner vertex.  Returns the zone: incoming remainder, hull
-        edges, outgoing remainder.
+        The steps are replaced by the maximal concave lattice path strictly
+        below the corner vertex.  Returns None when that path descends or
+        uses a slope outside the census.  The shape is translation invariant,
+        so each (a, b) pair is computed once.
         """
-        ein = edges[corner]
-        eout = None if terminal else edges[corner + 1]
-
-        v = verts[corner + 1]
-        u = (v[0] - ein.q, v[1] - ein.p)
-        w = (v[0], v[1]) if terminal else (v[0] + eout.q, v[1] + eout.p)
-
-        # column maxima under the two old primitive segments, excluding v
-        pts: List[Tuple[int, int]] = []
-        for x in range(u[0], w[0] + 1):
-            if x <= v[0]:
-                y = u[1] + (ein.p * (x - u[0])) // ein.q
-            else:
-                y = v[1] + (eout.p * (x - v[0])) // eout.q
-            if (x, y) == v:
-                y -= 1
-            pts.append((x, y))
-        hull = self._upper_hull(pts)
-
-        zone: List[LevelEdge] = []
-        if ein.mult > 1:
-            zone.append(LevelEdge(ein.p, ein.q, ein.mult - 1, 0))
+        key = (a, b)
+        if key in self._corners:
+            return self._corners[key]
+        pa, qa = self._p[a], self._q[a]
+        pb, qb = (0, 0) if b is None else (self._p[b], self._q[b])
+        # column maxima under the two old primitive segments from u = (0, 0)
+        # through the corner v = (qa, pa), excluding v itself
+        pts = [(x, (pa * x) // qa) for x in range(qa)] + [(qa, pa - 1)]
+        pts += [(qa + x, pa + (pb * x) // qb) for x in range(1, qb + 1)]
+        zone: Optional[Tuple[Edge, ...]] = ()
+        hull = _hull_path(pts, upper=True)
         for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
             dx, dy = x1 - x0, y1 - y0
-            if dy < 0:
-                return None  # descending hull: not a valid generator path
             g = math.gcd(dx, dy)
-            zone.append(LevelEdge(dy // g, dx // g, g, 0))
-        if not terminal and eout.mult > 1:
-            zone.append(LevelEdge(eout.p, eout.q, eout.mult - 1, 0))
+            level = self._id_of.get((dy // g, dx // g))
+            if level is None:  # descending, or off the census: no generator path
+                zone = None
+                break
+            zone += ((level, g, 0),)
+        self._corners[key] = zone
         return zone
 
-    def _merge_tail(self, tail: List[LevelEdge]) -> Optional[Tuple[Tuple[LevelEdge, ...], int]]:
-        """Merge equal-slope runs, peel off reference padding, check census membership."""
-        merged: List[LevelEdge] = []
+    def _merge_tail(self, tail: List[Edge]) -> Optional[Generator]:
+        """Merge equal-level runs, peel off reference padding, check strict slope order."""
+        merged: List[Edge] = []
         for e in tail:
-            if merged and merged[-1].slope == e.slope:
-                prev = merged[-1]
-                merged[-1] = LevelEdge(prev.p, prev.q, prev.mult + e.mult, prev.h + e.h)
+            if merged and merged[-1][0] == e[0]:
+                i, m, h = merged[-1]
+                merged[-1] = (i, m + e[1], h + e[2])
             else:
                 merged.append(e)
-        out: List[LevelEdge] = []
+        out: List[Edge] = []
         ref = 0
         for e in merged:
-            if e.h > 1:
+            if e[2] > 1:
                 return None
-            if e.p == 0:
-                if e.h:
+            if e[0] == self.ref_id:
+                if e[2]:
                     return None
-                ref += e.mult * e.q
+                ref += e[1]
             else:
-                if e.slope not in self._level_by_slope:
-                    return None
                 out.append(e)
         for a, b in zip(out, out[1:]):
-            if not a.slope > b.slope:
+            if a[0] >= b[0]:
                 return None
         return tuple(out), ref
 
@@ -284,38 +217,34 @@ class TwistComplex:
         joined two h edges) may sit on any zone edge, at most one per level
         and never on a flat run.
         """
-        g = self.generators[gi]
-        verts, edges = self._level_part(g)
+        edges, ref = self.generators[gi]
+        if ref:
+            edges += ((self.ref_id, ref, 0),)
         counts: Dict[int, int] = {}
-        n_edges = len(edges)
-        for corner in range(n_edges):
-            terminal = corner == n_edges - 1
-            ein = edges[corner]
-            eout = None if terminal else edges[corner + 1]
-            zone_h = ein.h + (eout.h if eout else 0)
+        last = len(edges) - 1
+        for corner, (a, ma, ha) in enumerate(edges):
+            b, mb, hb = edges[corner + 1] if corner < last else (None, 0, 0)
+            zone_h = ha + hb
             if zone_h == 0:
                 continue
-            zone = self._rounded_zone(verts, edges, corner, terminal)
-            if zone is None:
+            hull = self._corner_hull(a, b)
+            if hull is None:
                 continue
-            slots = [j for j, e in enumerate(zone) if e.p > 0] if zone_h == 2 else [None]
+            # incoming remainder, hull edges, outgoing remainder
+            zone = ((a, ma - 1, 0),) if ma > 1 else ()
+            zone += hull
+            if mb > 1:
+                zone += ((b, mb - 1, 0),)
+            head, rest = edges[:corner], edges[corner + 2 :]
+            slots = [None]
+            if zone_h == 2:
+                slots = [j for j, e in enumerate(zone) if e[0] != self.ref_id]
             for slot in slots:
-                labeled = [
-                    LevelEdge(e.p, e.q, e.mult, 1 if j == slot else 0)
-                    for j, e in enumerate(zone)
-                ]
-                tail = list(edges[:corner]) + labeled + (
-                    [] if terminal else list(edges[corner + 2 :])
-                )
-                merged = self._merge_tail(tail)
-                if merged is None:
-                    continue
-                out_edges, extra_ref = merged
-                target = PathGenerator(out_edges, extra_ref)
-                ti = self.index.get(target.key())
-                if ti is None:
-                    continue
-                counts[ti] = counts.get(ti, 0) + 1
+                labeled = tuple((i, m, 1 if j == slot else 0) for j, (i, m, _) in enumerate(zone))
+                target = self._merge_tail(head + labeled + rest)
+                ti = None if target is None else self.index.get(target)
+                if ti is not None:
+                    counts[ti] = counts.get(ti, 0) + 1
         return [ti for ti, c in counts.items() if c % 2 == 1]
 
     def boundaries(self) -> List[List[int]]:
@@ -325,36 +254,58 @@ class TwistComplex:
 
     # -- homology -----------------------------------------------------------------
 
+    def _reduce(self) -> Tuple[Dict[int, int], List[int]]:
+        """One filtration-order reduction of the boundary over GF(2), with clearing.
+
+        Rows and columns sit in filtration order (action, then grading, then
+        generator order).  Gradings are reduced from the top down, so a column
+        that is already the pivot row of a higher column is skipped: it
+        reduces to zero (Chen-Kerber, "Persistent homology computation with a
+        twist").  Returns the pivot count per grading (the rank of the
+        boundary out of it) and the essential columns in filtration order.
+        """
+        if self._reduction is None:
+            bnds = self.boundaries()
+            order = sorted(
+                range(len(self.generators)), key=lambda i: (self.actions[i], self.gradings[i])
+            )
+            pos = [0] * len(order)
+            for k, gi in enumerate(order):
+                pos[gi] = k
+            by_grading: Dict[int, List[int]] = {}
+            for gi in order:
+                by_grading.setdefault(self.gradings[gi], []).append(gi)
+            pivots: Dict[int, int] = {}  # low row -> reduced column
+            rank_out: Dict[int, int] = {}
+            paired = set()  # columns with a nonzero reduced column
+            for g in sorted(by_grading, reverse=True):
+                for gi in by_grading[g]:
+                    if pos[gi] in pivots:
+                        continue
+                    col = 0
+                    for t in bnds[gi]:
+                        col |= 1 << pos[t]
+                    while col:
+                        low = col.bit_length() - 1
+                        if low not in pivots:
+                            pivots[low] = col
+                            paired.add(gi)
+                            rank_out[g] = rank_out.get(g, 0) + 1
+                            break
+                        col ^= pivots[low]
+            essential = [gi for gi in order if gi not in paired and pos[gi] not in pivots]
+            self._reduction = rank_out, essential
+        return self._reduction
+
     def homology_ranks(self) -> Dict[int, int]:
         """Rank of homology per grading, over the two-element field."""
-        bnds = self.boundaries()
-        by_grading: Dict[int, List[int]] = {}
-        for i, g in enumerate(self.gradings):
-            by_grading.setdefault(g, []).append(i)
-        # rank of the boundary map out of each grading
-        rank_out: Dict[int, int] = {}
-        for g, gens in sorted(by_grading.items()):
-            cols = []
-            for i in gens:
-                mask = 0
-                for t in bnds[i]:
-                    mask |= 1 << t
-                cols.append(mask)
-            rank = 0
-            pivots: Dict[int, int] = {}
-            for col in cols:
-                while col:
-                    hi = col.bit_length() - 1
-                    if hi in pivots:
-                        col ^= pivots[hi]
-                    else:
-                        pivots[hi] = col
-                        rank += 1
-                        break
-            rank_out[g] = rank
+        rank_out, _ = self._reduce()
+        sizes: Dict[int, int] = {}
+        for g in self.gradings:
+            sizes[g] = sizes.get(g, 0) + 1
         ranks: Dict[int, int] = {}
-        for g, gens in by_grading.items():
-            h = len(gens) - rank_out.get(g, 0) - rank_out.get(g + 1, 0)
+        for g, n in sizes.items():
+            h = n - rank_out.get(g, 0) - rank_out.get(g + 1, 0)
             if h:
                 ranks[g] = h
         return ranks
@@ -407,37 +358,12 @@ class TwistComplex:
         """Birth action of each essential class, by filtration-ordered reduction.
 
         Generators enter in increasing action; the reduction pairs births and
-        deaths, and unpaired (essential) generators give each homology class
-        the filtration level at which it first appears.
+        deaths, and the first unpaired (essential) generator of each grading
+        gives its homology class the filtration level at which it appears.
         """
-        order = sorted(
-            range(len(self.generators)),
-            key=lambda i: (self.actions[i], self.gradings[i], self.generators[i].key()),
-        )
-        pos = {gi: k for k, gi in enumerate(order)}
-        bnds = self.boundaries()
-        pivots: Dict[int, int] = {}
-        killed = set()
-        positive = set()
-        for gi in order:
-            col = 0
-            for t in bnds[gi]:
-                col |= 1 << pos[t]
-            while col:
-                low = col.bit_length() - 1
-                if low in pivots:
-                    col ^= pivots[low]
-                else:
-                    pivots[low] = col
-                    killed.add(low)
-                    break
-            if col == 0:
-                positive.add(pos[gi])
         births: Dict[int, float] = {}
-        for gi in order:
-            if pos[gi] in positive and pos[gi] not in killed:
-                grading = self.gradings[gi]
-                births[grading] = min(births.get(grading, math.inf), self.actions[gi])
+        for gi in self._reduce()[1]:
+            births.setdefault(self.gradings[gi], self.actions[gi])
         return births
 
 

@@ -1,4 +1,4 @@
-"""Seeded generators for orbit pools, towers, and the low-action curve family.
+"""Seeded generators for orbit pools, towers, and the low-action score scan.
 
 Everything here is driven by a caller-supplied random.Random so that sweeps
 are reproducible bit-for-bit; orbit actions are exact Fractions so the
@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .orbits import (
     ELLIPTIC,
@@ -172,106 +172,6 @@ def threshold_multiplicity(theta: Rotation, m: int) -> bool:
         return False
     fr = theta.fractional_part()
     return m * fr >= 2 and m * (1 - fr) >= 2
-
-
-def low_action_family(
-    thetas: Sequence[Rotation],
-    max_mult: int = 12,
-    max_orbits_per_side: int = 2,
-    max_side_mult: int = 20,
-    genus_range: Sequence[int] = (0, 1, 2),
-    require_u_indices: bool = True,
-) -> Iterable[CurveData]:
-    """Enumerate admissible low-action curve data realizing the partition patterns.
-
-    Every orbit carrying ends sits in the threshold multiplicity regime;
-    positive ends realize the positive partition of the orbit's multiplicity
-    relative to its trivial-cylinder part, negative ends the negative one;
-    endpoint sets are admissible generators.  With ``require_u_indices`` the
-    whole-current ECH index and the embedded-component Fredholm index are
-    both pinned to 2 (the U-map values) in the zero relative-Chern-class
-    convention.  Cylinders are excluded.
-    """
-    theta_list = list(thetas)
-
-    def side_configs(positive: bool):
-        per_theta: List[List[tuple]] = []
-        for idx, theta in enumerate(theta_list):
-            opts = []
-            for mult in range(2, max_mult + 1):
-                if not threshold_multiplicity(theta, mult):
-                    continue
-                for ends, m0 in _end_options(theta, mult, positive):
-                    opts.append((idx, mult, ends, m0))
-            per_theta.append(opts)
-        configs = [[o] for opts in per_theta for o in opts]
-        if max_orbits_per_side >= 2:
-            for i1, i2 in combinations_with_replacement(range(len(theta_list)), 2):
-                if i1 == i2:
-                    continue
-                for o1 in per_theta[i1]:
-                    for o2 in per_theta[i2]:
-                        if o1[1] + o2[1] <= max_side_mult:
-                            configs.append([o1, o2])
-        return configs
-
-    pos_configs = side_configs(True)
-    neg_configs = side_configs(False)
-
-    def summarize(cfg):
-        # (e-term, end count, CZ of covers, CZ of individual ends, total mult)
-        e = ends = cz = cz_ends = mult_total = 0
-        for idx, mult, end_mults, m0 in cfg:
-            theta = theta_list[idx]
-            e += 2 * len(end_mults) - (0 if m0 > 0 else 1)
-            ends += len(end_mults)
-            cz += cz_index(theta, mult)
-            cz_ends += sum(cz_index(theta, m) for m in end_mults)
-            mult_total += mult
-        return e, ends, cz, cz_ends, mult_total
-
-    pos_summary = [summarize(c) for c in pos_configs]
-    neg_summary = [summarize(c) for c in neg_configs]
-
-    def build_side(cfg, prefix: str, serial: int):
-        entries, ends_data = [], []
-        for j, (idx, mult, ends, m0) in enumerate(cfg):
-            theta = theta_list[idx]
-            orbit = SimpleOrbit(f"{prefix}{serial}_{j}", Fraction(mult + j + 1), theta, ELLIPTIC)
-            entries.append((orbit, mult))
-            ends_data.append(CurveEnds(orbit.label, ends, c0_present=m0 > 0))
-        return entries, ends_data
-
-    serial = 0
-    for pos, (ea, na, cza, czea, ma) in zip(pos_configs, pos_summary):
-        for neg, (eb, nb, czb, czeb, mb) in zip(neg_configs, neg_summary):
-            for genus in genus_range:
-                if genus == 0 and na == 1 and nb == 1:
-                    continue  # cylinder
-                if require_u_indices:
-                    j0 = -2 + 2 * genus + ea + eb
-                    if j0 + cza - czb != 2:
-                        continue
-                    chi = 2 - 2 * genus - (na + nb)
-                    if -chi + czea - czeb != 2:
-                        continue
-                serial += 1
-                alpha_entries, pos_ends = build_side(pos, "p", serial)
-                beta_entries, neg_ends = build_side(neg, "n", serial)
-                alpha = OrbitSet(alpha_entries)
-                beta = OrbitSet(beta_entries)
-                if alpha.action < beta.action:
-                    # rescale one top orbit so the action difference is tiny but positive
-                    top, mult0 = alpha_entries[0]
-                    bumped = SimpleOrbit(
-                        top.label,
-                        top.action + beta.action - alpha.action + Fraction(1, 997),
-                        top.theta,
-                        top.kind,
-                        top.period,
-                    )
-                    alpha = OrbitSet([(bumped, mult0)] + alpha_entries[1:])
-                yield CurveData(genus, tuple(pos_ends), tuple(neg_ends), alpha, beta)
 
 
 def score_falsification_scan(

@@ -63,6 +63,15 @@ def test_twist_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_complex_cap_error_exits_2(capsys):
+    profile = os.path.join(os.path.dirname(__file__), os.pardir, "profiles", "linear_cal.json")
+    code = main(["twist", "complex", "--profile", profile, "--d", "14", "--cap", "1000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: generator cap 1000 exceeded")
+    assert "Traceback" not in err
+
+
 def test_score_and_tower_commands(tmp_path, capsys):
     import random
 

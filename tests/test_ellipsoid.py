@@ -211,3 +211,24 @@ def test_spectrum_cache_roundtrip(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("spectrum_v1_*.npy"))) == 1
     again = cached_spectrum_values(e, 200)
     assert np.array_equal(first, again)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "wrong_length"])
+def test_spectrum_cache_damaged_file_is_a_miss(tmp_path, monkeypatch, damage):
+    from echlab.ellipsoid import cached_spectrum_values
+
+    monkeypatch.setenv("ECHLAB_CACHE_DIR", str(tmp_path))
+    e = Ellipsoid(1.0, SQRT2)
+    expected = np.array([v[0] for v in spectrum_values(e, count=200)])
+    cached_spectrum_values(e, 200)
+    (path,) = tmp_path.glob("spectrum_v1_*.npy")
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif damage == "empty":
+        path.write_bytes(b"")
+    else:
+        np.save(path, expected[:100])
+    assert np.array_equal(cached_spectrum_values(e, 200), expected)
+    # the recomputed values replace the damaged file, and no temporary is left
+    assert np.array_equal(np.load(path), expected)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -1,5 +1,7 @@
 """Lattice-path chain complex, spectral invariants, and the axiom suite."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -34,6 +36,9 @@ SAMPLE_PROFILES = [
     linear_profile(1.37 * TWO_PI, support_end=0.9, name="lin137"),
     profile_from_samples([0.0, 0.3, 0.6, 0.85, 1.0], [5.9, 4.1, 1.7, 0.0, 0.0], name="sampled"),
     constant_profile(0.67 * TWO_PI, support_end=0.8, name="const067"),
+]
+CRITERION_10_PROFILES = SAMPLE_PROFILES[:4] + [
+    linear_profile(1.81 * TWO_PI, support_end=0.88, name="lin181"),
 ]
 
 
@@ -219,3 +224,66 @@ def test_action_floor_parameter():
     assert rep["min_action_drop"] > 1e-9
     with pytest.raises(CalibrationError):
         cx.validate(action_floor=rep["min_action_drop"] * 1.01)
+
+
+def test_complex_stream_pinned():
+    # digest recorded with the Fraction-slope edge representation: the
+    # integer level-id complexes keep its generators (as (p, q, mult, h)
+    # edges plus ref), gradings, actions, boundaries and persistence births
+    digest = hashlib.sha256()
+    for f in CRITERION_10_PROFILES:
+        for d in range(1, 10):
+            cx = build_complex(f, d)
+            lv = cx.levels
+            doc = {
+                "generators": [
+                    [[(lv[i].p, lv[i].q, m, h) for i, m, h in edges], ref]
+                    for edges, ref in cx.generators
+                ],
+                "gradings": cx.gradings,
+                "actions": [repr(a) for a in cx.actions],
+                "boundaries": cx.boundaries(),
+                "births": [[g, repr(b)] for g, b in sorted(cx.persistence_birth_actions().items())],
+            }
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "ec6419fad7513ff463b8891b296a150c7a08783d7c0260d135df6a12c1de8dd3"
+    )
+
+
+@pytest.mark.parametrize("profile", SAMPLE_PROFILES, ids=lambda p: p.name)
+def test_gradings_and_ranks_oracle(profile):
+    # independent gradings: count the lattice points under each path column
+    # by column.  Independent ranks: eliminate each grading's boundary
+    # columns on their own, by generator index, with no filtration order
+    # and no clearing.
+    for d in range(1, 8):
+        cx = build_complex(profile, d)
+        for (edges, ref), grading in zip(cx.generators, cx.gradings):
+            steps = [(cx.levels[i].q, cx.levels[i].p) for i, m, _ in edges for _ in range(m)]
+            x = y = points = 0
+            for q, p in steps + [(1, 0)] * ref:
+                points += sum(y + (p * k) // q + 1 for k in range(q))
+                x, y = x + q, y + p
+            assert x == d
+            points += y + 1
+            assert grading == 2 * (points - (d + 1)) - sum(h for _, _, h in edges) + d
+        bnds = cx.boundaries()
+        by_grading = {}
+        for i, g in enumerate(cx.gradings):
+            by_grading.setdefault(g, []).append(i)
+        rank_out = {}
+        for g, gens in by_grading.items():
+            pivots = {}
+            for i in gens:
+                col = sum(1 << t for t in bnds[i])
+                while col and col.bit_length() in pivots:
+                    col ^= pivots[col.bit_length()]
+                if col:
+                    pivots[col.bit_length()] = col
+            rank_out[g] = len(pivots)
+        expected = {
+            g: len(gens) - rank_out[g] - rank_out.get(g + 1, 0)
+            for g, gens in by_grading.items()
+        }
+        assert cx.homology_ranks() == {g: h for g, h in expected.items() if h}
