@@ -1,9 +1,10 @@
 """Command-line entry point: deterministic experiment orchestration.
 
 Exit codes: 0 when every verdict passes, 1 when any fails, 2 on usage,
-schema or generator-cap errors.  All randomized sweeps consume only the
-seeded generator, so identical configurations produce byte-identical output
-bundles.
+input, schema or cap errors: ``main`` turns every ValueError, OSError,
+missing key and generator or spectrum cap error into one ``error:`` line.
+All randomized sweeps consume only the seeded generator, so identical
+configurations produce byte-identical output bundles.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from . import ellipsoid as el
 from . import pfh, twist
 from .orbits import (
     curve_from_json,
+    curve_score,
     forced_topology,
     is_ech_generator,
     k_invariant,
     orbit_set_from_json,
-    orbit_set_score,
     total_score,
     tower_audit,
     tower_from_json,
@@ -302,8 +303,7 @@ def _score(cfg: RunConfig, bundle: ReportBundle):
         bundle.add_table(
             "score",
             ["object", "score", "total_score", "k_invariant", "is_generator"],
-            [("curve", orbit_set_score(curve.alpha) - orbit_set_score(curve.beta),
-              total_score(curve), k_invariant(curve),
+            [("curve", curve_score(curve), total_score(curve), k_invariant(curve),
               is_ech_generator(curve.alpha) and is_ech_generator(curve.beta))],
         )
     else:
@@ -311,7 +311,7 @@ def _score(cfg: RunConfig, bundle: ReportBundle):
         bundle.add_table(
             "score",
             ["object", "score", "action", "is_generator"],
-            [("orbit-set", orbit_set_score(alpha), float(alpha.action), is_ech_generator(alpha))],
+            [("orbit-set", alpha.score, float(alpha.action), is_ech_generator(alpha))],
         )
     bundle.add_verdict("score_computed", True)
 
@@ -502,7 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = config_from_args(args)
         bundle = run(config)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError, pfh.ComplexSizeError) as ex:
+    except (ValueError, OSError, KeyError, pfh.ComplexSizeError, el.ResourceCapError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except SystemExit as ex:

@@ -90,10 +90,6 @@ class FlowState:
         if not (0.0 <= self.mu <= 1.0):
             raise ValueError("amplitude split must lie in [0, 1]")
 
-    @property
-    def on_core_circle(self) -> bool:
-        return self.mu in (0.0, 1.0)
-
 
 def reeb_flow(e: Ellipsoid, s: FlowState, t: float) -> FlowState:
     """Time-t Reeb flow: each angle advances linearly, mu is preserved."""

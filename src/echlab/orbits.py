@@ -1,17 +1,15 @@
 """Orbit sets, curve data, topological index bookkeeping, and tower audits.
 
 Orbit actions are kept as exact Fractions wherever the caller supplies them
-that way, so the telescoping identities in tower audits hold with zero
-tolerance.
+that way, so the telescoping identities in tower audits hold exactly.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .rotations import (
     Rotation,
@@ -30,6 +28,33 @@ class StructuralError(ValueError):
     """Malformed orbit-set / curve / tower data."""
 
 
+class Cover(NamedTuple):
+    """Conley-Zehnder index, partition classes and score term of one m-fold cover.
+
+    p+ cover: the positive partition is the single part (m); p- likewise;
+    special: m > 1 with no part of size 1 in the positive partition.  The
+    cover's term in the score S is (p+) + (special) - (p-).
+    """
+
+    cz: int
+    p_plus: bool
+    p_minus: bool
+    special: bool
+    score: int
+
+
+def cover_indices(theta: Rotation, m: int) -> Cover:
+    """The ``Cover`` of the m-fold cover of an orbit with rotation ``theta``.
+
+    Raises DegenerateRotationError when ``theta`` is real and k * theta sits
+    on an integer, within the real lane's guard, for some k <= m.
+    """
+    pp = partition_positive(theta, m)
+    pn = partition_negative(theta, m)
+    p_plus, p_minus, special = pp.parts == (m,), pn.parts == (m,), m > 1 and 1 not in pp
+    return Cover(cz_index(theta, m), p_plus, p_minus, special, p_plus + special - p_minus)
+
+
 @dataclass(frozen=True)
 class SimpleOrbit:
     """An embedded periodic orbit with action, rotation number, and type.
@@ -38,7 +63,7 @@ class SimpleOrbit:
     hyperbolic at integral theta, negative hyperbolic at half-integral theta,
     elliptic otherwise.  ``period`` is the orbit's period count used by the
     mapping-torus degree; it defaults to 1 and is ignored in the abstract
-    setting.
+    setting.  ``cover(m)`` memoises ``cover_indices(theta, m)`` per m.
     """
 
     label: str
@@ -47,9 +72,7 @@ class SimpleOrbit:
     kind: str
     period: int = 1
 
-    # tol -> m -> CZ index / partition classification of the m-fold cover
-    _cz_memo: dict = field(default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False)
-    _cls_memo: dict = field(default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False)
+    _covers: Dict[int, Cover] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -67,17 +90,25 @@ class SimpleOrbit:
     def is_hyperbolic(self) -> bool:
         return self.kind != ELLIPTIC
 
+    def cover(self, m: int) -> Cover:
+        c = self._covers.get(m)
+        if c is None:
+            c = self._covers[m] = cover_indices(self.theta, m)
+        return c
+
 
 class OrbitSet:
     """An immutable finite multiset of simple orbits with positive multiplicities.
 
-    Entries are sorted by label and the total action is computed once, at
-    construction: one Fraction over the LCM of the entry denominators when
-    every action is a Fraction, a float otherwise.  ``cz_top`` and
-    ``orbit_set_score`` depend on a tolerance and are memoised per tolerance.
+    Entries are sorted by label, and the invariants are computed once, at
+    construction, and read-only: the total ``action`` (one Fraction over the
+    LCM of the entry denominators when every action is a Fraction, a float
+    otherwise), ``cz_top``, the score ``score`` and ``k``.  The indices are
+    defined for nondegenerate orbits only, so a real-lane orbit with a
+    degenerate cover raises DegenerateRotationError here.
     """
 
-    __slots__ = ("_items", "_action", "_cz", "_cz_tol", "_score", "_score_tol")
+    __slots__ = ("_items", "_action", "_cz_top", "_score", "_k")
 
     def __init__(self, entries: Iterable[Tuple[SimpleOrbit, int]] = ()):
         by_label: Dict[str, Tuple[SimpleOrbit, int]] = {}
@@ -94,7 +125,13 @@ class OrbitSet:
                                         for o, m in items), common)
         else:
             self._action = float(sum((m * o.action for o, m in items), Fraction(0)))
-        self._cz = self._cz_tol = self._score = self._score_tol = None
+        cz_top = score = k = 0
+        for o, m in items:
+            cover = o.cover(m)
+            cz_top += cover.cz
+            score += cover.score
+            k -= m > 1
+        self._cz_top, self._score, self._k = cz_top, score, k
 
     def items(self) -> Tuple[Tuple[SimpleOrbit, int], ...]:
         return self._items
@@ -103,6 +140,21 @@ class OrbitSet:
     def action(self):
         """Multiplicity-weighted total action; the empty set has action 0."""
         return self._action
+
+    @property
+    def cz_top(self) -> int:
+        """Sum over entries of the Conley-Zehnder index of the m_i-fold cover."""
+        return self._cz_top
+
+    @property
+    def score(self) -> int:
+        """Score S = (# p+ components) + (# special components) - (# p- components)."""
+        return self._score
+
+    @property
+    def k(self) -> int:
+        """K(alpha) <= 0: minus the number of components with multiplicity > 1."""
+        return self._k
 
     def multiplicity(self, label: str) -> int:
         for orbit, mult in self._items:
@@ -128,20 +180,6 @@ class OrbitSet:
 def is_ech_generator(alpha: OrbitSet) -> bool:
     """True iff every hyperbolic entry has multiplicity 1."""
     return all(m == 1 for o, m in alpha.items() if o.is_hyperbolic)
-
-
-def _orbit_cz(orbit: SimpleOrbit, m: int, tol: float) -> int:
-    memo = orbit._cz_memo[tol]
-    if m not in memo:
-        memo[m] = cz_index(orbit.theta, m, tol=tol)
-    return memo[m]
-
-
-def cz_top(alpha: OrbitSet, tol: float = 1e-12) -> int:
-    """Sum over entries of the Conley-Zehnder index of the m_i-fold cover."""
-    if alpha._cz is None or alpha._cz_tol != tol:
-        alpha._cz_tol, alpha._cz = tol, sum(_orbit_cz(o, m, tol) for o, m in alpha.items())
-    return alpha._cz
 
 
 @dataclass(frozen=True)
@@ -241,9 +279,9 @@ def j0_of_curve(c: CurveData) -> int:
     return c.j0
 
 
-def ech_index_from_j0(c: CurveData, tol: float = 1e-12) -> int:
+def ech_index_from_j0(c: CurveData) -> int:
     """ECH index from the index-difference identity: I = J0 + 2 c_tau + CZ^top(alpha) - CZ^top(beta)."""
-    return c.j0 + 2 * c.c_tau + cz_top(c.alpha, tol) - cz_top(c.beta, tol)
+    return c.j0 + 2 * c.c_tau + c.alpha.cz_top - c.beta.cz_top
 
 
 def forced_topology(j0: int, full_coverage: bool, max_genus: int = 3, max_ends: int = 6):
@@ -268,54 +306,19 @@ def forced_topology(j0: int, full_coverage: bool, max_genus: int = 3, max_ends: 
     return out
 
 
-def _orbit_classify(orbit: SimpleOrbit, m: int, tol: float) -> Tuple[bool, bool, bool]:
-    memo = orbit._cls_memo[tol]
-    if m not in memo:
-        pp = partition_positive(orbit.theta, m, tol)
-        pn = partition_negative(orbit.theta, m, tol)
-        memo[m] = (pp.parts == (m,), pn.parts == (m,), m > 1 and 1 not in pp)
-    return memo[m]
-
-
-def component_classification(orbit: SimpleOrbit, m: int, tol: float = 1e-12) -> dict:
-    """Classify one orbit-set component against its partition data.
-
-    p+ component: the positive partition is the single part (m); p- likewise;
-    special: m > 1 with no part of size 1 in the positive partition.
-    """
-    is_pp, is_pn, special = _orbit_classify(orbit, m, tol)
-    return {"is_p_plus": is_pp, "is_p_minus": is_pn, "is_special": special}
-
-
-def orbit_set_score(alpha: OrbitSet, tol: float = 1e-12) -> int:
-    """Score S = (# p+ components) + (# special components) - (# p- components)."""
-    if alpha._score is None or alpha._score_tol != tol:
-        score = 0
-        for orbit, mult in alpha.items():
-            is_pp, is_pn, special = _orbit_classify(orbit, mult, tol)
-            score += is_pp + special - is_pn
-        alpha._score_tol, alpha._score = tol, score
-    return alpha._score
-
-
-def curve_score(c: CurveData, tol: float = 1e-12) -> int:
+def curve_score(c: CurveData) -> int:
     """S(C) = S(alpha) - S(beta)."""
-    return orbit_set_score(c.alpha, tol) - orbit_set_score(c.beta, tol)
+    return c.alpha.score - c.beta.score
 
 
-def total_score(c: CurveData, tol: float = 1e-12) -> int:
+def total_score(c: CurveData) -> int:
     """T(C) = S(C) + 3 y(C) with y = J0 - 2."""
-    return curve_score(c, tol) + 3 * (c.j0 - 2)
-
-
-def _k_of_set(alpha: OrbitSet) -> int:
-    """K(alpha) <= 0: minus the number of components with multiplicity > 1."""
-    return -sum(1 for _, m in alpha.items() if m > 1)
+    return curve_score(c) + 3 * (c.j0 - 2)
 
 
 def k_invariant(c: CurveData) -> int:
     """K(C) = K(alpha) - K(beta) + 2 y(C)."""
-    return _k_of_set(c.alpha) - _k_of_set(c.beta) + 2 * (c.j0 - 2)
+    return c.alpha.k - c.beta.k + 2 * (c.j0 - 2)
 
 
 @dataclass
@@ -341,7 +344,7 @@ class Tower:
         return self.curves[-1].beta
 
 
-def tower_audit(t: Tower, action_threshold, tol: float = 1e-12) -> dict:
+def tower_audit(t: Tower, action_threshold) -> dict:
     """Exact telescoping and budget audit of a U-tower.
 
     Verifies the total-score and action telescoping identities exactly,
@@ -351,13 +354,13 @@ def tower_audit(t: Tower, action_threshold, tol: float = 1e-12) -> dict:
     (expected none).
     """
     n = len(t)
-    scores = [total_score(c, tol) for c in t.curves]
+    scores = [total_score(c) for c in t.curves]
     ys = [c.j0 - 2 for c in t.curves]
     actions = [c.action for c in t.curves]
-    indices = [ech_index_from_j0(c, tol) for c in t.curves]
+    indices = [ech_index_from_j0(c) for c in t.curves]
 
     lhs_score = sum(scores)
-    rhs_score = orbit_set_score(t.top, tol) - orbit_set_score(t.bottom, tol) + 3 * sum(ys)
+    rhs_score = t.top.score - t.bottom.score + 3 * sum(ys)
     if all(isinstance(a, Fraction) for a in actions) and isinstance(action_threshold, (int, Fraction)):
         # exact integer numerators over one common denominator
         common = math.lcm(action_threshold.denominator, *(a.denominator for a in actions))

@@ -62,18 +62,12 @@ class TwistComplex:
     increasing id order and is its own key in ``index``.
     """
 
-    def __init__(
-        self,
-        profile: TwistProfile,
-        degree: int,
-        generator_cap: int = 200_000,
-        tol: float = 1e-12,
-    ):
+    def __init__(self, profile: TwistProfile, degree: int, generator_cap: int = 200_000):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.profile = profile
         self.degree = degree
-        self.levels = periodic_census(profile, degree, tol)  # sorted slope descending
+        self.levels = periodic_census(profile, degree)  # sorted slope descending
         self.ref_id = len(self.levels)
         self._p = [c.p for c in self.levels] + [0]
         self._q = [c.q for c in self.levels] + [1]
@@ -184,31 +178,6 @@ class TwistComplex:
         self._corners[key] = zone
         return zone
 
-    def _merge_tail(self, tail: List[Edge]) -> Optional[Generator]:
-        """Merge equal-level runs, peel off reference padding, check strict slope order."""
-        merged: List[Edge] = []
-        for e in tail:
-            if merged and merged[-1][0] == e[0]:
-                i, m, h = merged[-1]
-                merged[-1] = (i, m + e[1], h + e[2])
-            else:
-                merged.append(e)
-        out: List[Edge] = []
-        ref = 0
-        for e in merged:
-            if e[2] > 1:
-                return None
-            if e[0] == self.ref_id:
-                if e[2]:
-                    return None
-                ref += e[1]
-            else:
-                out.append(e)
-        for a, b in zip(out, out[1:]):
-            if a[0] >= b[0]:
-                return None
-        return tuple(out), ref
-
     def boundary(self, gi: int) -> List[int]:
         """Indices of the generators in d(generator i), over the two-element field.
 
@@ -241,8 +210,13 @@ class TwistComplex:
                 slots = [j for j, e in enumerate(zone) if e[0] != self.ref_id]
             for slot in slots:
                 labeled = tuple((i, m, 1 if j == slot else 0) for j, (i, m, _) in enumerate(zone))
-                target = self._merge_tail(head + labeled + rest)
-                ti = None if target is None else self.index.get(target)
+                # zone slopes lie strictly between its neighbours': the path stays strictly ordered
+                path = head + labeled + rest
+                if path[-1][0] == self.ref_id:
+                    target = path[:-1], path[-1][1]
+                else:
+                    target = path, 0
+                ti = self.index.get(target)
                 if ti is not None:
                     counts[ti] = counts.get(ti, 0) + 1
         return [ti for ti, c in counts.items() if c % 2 == 1]

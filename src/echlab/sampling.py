@@ -23,6 +23,7 @@ from .orbits import (
     OrbitSet,
     SimpleOrbit,
     Tower,
+    cover_indices,
 )
 from .rotations import Partition, Rotation, cz_index, partition_negative, partition_positive
 
@@ -196,11 +197,7 @@ def score_falsification_scan(
             Rotation.rational(9, 13),
         ]
     theta_list = list(thetas)
-
-    def component_score(theta: Rotation, m: int) -> int:
-        pp = partition_positive(theta, m)
-        pn = partition_negative(theta, m)
-        return int(pp.parts == (m,)) + int(m > 1 and 1 not in pp) - int(pn.parts == (m,))
+    covers = {}  # (theta index, m) -> Cover of the m-fold cover
 
     def side_summaries(positive: bool):
         per_theta = []
@@ -209,6 +206,7 @@ def score_falsification_scan(
             for m in range(2, max_mult + 1):
                 if not threshold_multiplicity(theta, m):
                     continue
+                covers[idx, m] = cover_indices(theta, m)
                 for ends, m0 in _end_options(theta, m, positive):
                     opts.append((idx, m, ends, m0))
             per_theta.append(opts)
@@ -224,12 +222,12 @@ def score_falsification_scan(
         for cfg in configs:
             s = e = ends = cz = cz_ends = 0
             for idx, m, end_mults, m0 in cfg:
-                theta = theta_list[idx]
-                s += component_score(theta, m)
+                cover = covers[idx, m]
+                s += cover.score
                 e += 2 * len(end_mults) - (0 if m0 > 0 else 1)
                 ends += len(end_mults)
-                cz += cz_index(theta, m)
-                cz_ends += sum(cz_index(theta, k) for k in end_mults)
+                cz += cover.cz
+                cz_ends += sum(cz_index(theta_list[idx], k) for k in end_mults)
             out.append((s, e, ends, cz, cz_ends, cfg))
         return out
 

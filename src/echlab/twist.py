@@ -280,28 +280,6 @@ def profile_from_samples(r: Sequence[float], f: Sequence[float], name: str = "sa
 # -- derived objects -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HamiltonianProfile:
-    """The generating Hamiltonian H(r) of a twist profile; H(1) = 0, H >= 0."""
-
-    profile: TwistProfile
-
-    def __call__(self, r: float) -> float:
-        return self.profile.hamiltonian(r)
-
-    @property
-    def at_center(self) -> float:
-        return self.profile.hamiltonian_at_center()
-
-    @property
-    def divergent(self) -> bool:
-        return math.isinf(self.at_center)
-
-
-def hamiltonian_profile(f: TwistProfile) -> HamiltonianProfile:
-    return HamiltonianProfile(f)
-
-
 def calabi(f: TwistProfile, self_check_tol: Optional[float] = 1e-9) -> float:
     """Calabi invariant of the twist: the double radial integral of s f(s).
 

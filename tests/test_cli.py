@@ -64,12 +64,21 @@ def test_twist_commands(tmp_path, capsys):
 
 
 def test_complex_cap_error_exits_2(capsys):
+    # a cap error and two invalid-input errors share one contract: exit 2
+    # with a single "error:" line and no traceback
     profile = os.path.join(os.path.dirname(__file__), os.pardir, "profiles", "linear_cal.json")
-    code = main(["twist", "complex", "--profile", profile, "--d", "14", "--cap", "1000"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: generator cap 1000 exceeded")
-    assert "Traceback" not in err
+    cases = [
+        (["twist", "complex", "--profile", profile, "--d", "14", "--cap", "1000"],
+         "error: generator cap 1000 exceeded"),
+        (["ellipsoid", "spectrum", "--a", "1", "--b", "2"], "error: rational aspect ratio"),
+        (["ellipsoid", "census", "--a", "-1", "--b", "2"], "error: ellipsoid parameters must be positive"),
+    ]
+    for argv, message in cases:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(message) and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_score_and_tower_commands(tmp_path, capsys):

@@ -15,23 +15,22 @@ from echlab.orbits import (
     ELLIPTIC,
     NEGATIVE_HYPERBOLIC,
     POSITIVE_HYPERBOLIC,
+    Cover,
     CurveData,
     CurveEnds,
     OrbitSet,
     SimpleOrbit,
     StructuralError,
     Tower,
-    component_classification,
     curve_from_json,
+    curve_score,
     curve_to_json,
-    cz_top,
     ech_index_from_j0,
     forced_topology,
     is_ech_generator,
     j0_of_curve,
     k_invariant,
     orbit_set_from_json,
-    orbit_set_score,
     orbit_set_to_json,
     total_score,
     tower_audit,
@@ -76,9 +75,9 @@ def test_generator_rule():
 
 
 def test_cz_top_examples():
-    assert cz_top(OrbitSet()) == 0
-    assert cz_top(OrbitSet([(GAMMA_A, 4)])) == 1
-    assert cz_top(OrbitSet([(GAMMA_A, 4), (GAMMA_B, 2)])) == 4
+    assert OrbitSet().cz_top == 0
+    assert OrbitSet([(GAMMA_A, 4)]).cz_top == 1
+    assert OrbitSet([(GAMMA_A, 4), (GAMMA_B, 2)]).cz_top == 4
 
 
 def test_degree_contexts():
@@ -160,27 +159,15 @@ def test_forced_topology():
 
 
 def test_component_classification_examples():
-    assert component_classification(GAMMA_A, 4) == {
-        "is_p_plus": False,
-        "is_p_minus": True,
-        "is_special": False,
-    }
-    assert component_classification(GAMMA_B, 2) == {
-        "is_p_plus": True,
-        "is_p_minus": False,
-        "is_special": True,
-    }
-    assert component_classification(GAMMA_A, 1) == {
-        "is_p_plus": True,
-        "is_p_minus": True,
-        "is_special": False,
-    }
+    assert GAMMA_A.cover(4) == Cover(cz=1, p_plus=False, p_minus=True, special=False, score=-1)
+    assert GAMMA_B.cover(2) == Cover(cz=3, p_plus=True, p_minus=False, special=True, score=2)
+    assert GAMMA_A.cover(1) == Cover(cz=1, p_plus=True, p_minus=True, special=False, score=0)
 
 
 def test_orbit_set_score_examples():
-    assert orbit_set_score(OrbitSet()) == 0
-    assert orbit_set_score(OrbitSet([(GAMMA_A, 4)])) == -1
-    assert orbit_set_score(OrbitSet([(GAMMA_B, 2)])) == 2
+    assert OrbitSet().score == 0
+    assert OrbitSet([(GAMMA_A, 4)]).score == -1
+    assert OrbitSet([(GAMMA_B, 2)]).score == 2
 
 
 def test_score_additive_over_disjoint_union():
@@ -190,8 +177,8 @@ def test_score_additive_over_disjoint_union():
         o1 = orb(f"s1_{u}", 2, u, 12) if u % 12 else orb("s1", 2, 1, 12)
         o2 = orb("s2", 3, 3, 7)
         m1, m2 = rng.randint(1, 6), rng.randint(1, 6)
-        both = orbit_set_score(OrbitSet([(o1, m1), (o2, m2)]))
-        assert both == orbit_set_score(OrbitSet([(o1, m1)])) + orbit_set_score(OrbitSet([(o2, m2)]))
+        both = OrbitSet([(o1, m1), (o2, m2)]).score
+        assert both == OrbitSet([(o1, m1)]).score + OrbitSet([(o2, m2)]).score
 
 
 def test_total_score_examples():
@@ -206,7 +193,7 @@ def test_total_score_examples():
     # J0 = -2 + 2 + 2*2 = 4 here, so construct the J0=2 case directly instead:
     c2 = cylinder(GAMMA_A, GAMMA_B, alpha_mult=3, beta_mult=2, c0=True)
     assert j0_of_curve(c2) == 2
-    assert total_score(c2) == orbit_set_score(c2.alpha) - orbit_set_score(c2.beta)
+    assert total_score(c2) == curve_score(c2) == c2.alpha.score - c2.beta.score
 
 
 def test_k_invariant_examples():
@@ -286,9 +273,11 @@ def test_json_roundtrips():
 
 
 def test_orbit_sets_and_curves_are_immutable():
-    s = OrbitSet([(GAMMA_A, 2)])
-    with pytest.raises(AttributeError):
-        s.action = Fraction(1)
+    s = OrbitSet([(GAMMA_A, 2), (GAMMA_B, 1)])
+    assert (s.cz_top, s.score, s.k) == (2, -1, -1)
+    for name in ("action", "cz_top", "score", "k"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
     with pytest.raises(AttributeError):
         s.extra = 1
     c = cylinder(GAMMA_A, GAMMA_B)
@@ -299,28 +288,12 @@ def test_orbit_sets_and_curves_are_immutable():
     assert (c.action, c.j0) == (GAMMA_A.action - GAMMA_B.action, j0_of_curve(c))
 
 
-def test_cached_indices_respect_tolerance():
-    # 3 * 0.3333 = 0.9999 is degenerate at tol 1e-3 but not at the default
-    # tolerance; a value cached at one tolerance must not answer for another.
-    def fresh():
-        return SimpleOrbit("x", Fraction(1), Rotation.real(0.3333), ELLIPTIC)
-
+def test_degenerate_cover_raises_at_construction():
+    # 3 * (1/3) is integral: the 3-fold cover is degenerate, and its indices
+    # are undefined, so building the orbit set already fails
+    orbit = SimpleOrbit("x", Fraction(1), Rotation.real(1 / 3), ELLIPTIC)
     with pytest.raises(DegenerateRotationError):
-        cz_top(OrbitSet([(fresh(), 3)]), tol=1e-3)
-    s = OrbitSet([(fresh(), 3)])
-    assert cz_top(s) == 1
-    with pytest.raises(DegenerateRotationError):
-        cz_top(s, tol=1e-3)
-    with pytest.raises(DegenerateRotationError):
-        cz_top(OrbitSet([(s.items()[0][0], 3)]), tol=1e-3)
-    assert cz_top(s) == 1
-
-    s = OrbitSet([(fresh(), 3)])
-    assert orbit_set_score(s) == orbit_set_score(OrbitSet([(fresh(), 3)]))
-    with pytest.raises(DegenerateRotationError):
-        orbit_set_score(s, tol=1e-3)
-    with pytest.raises(DegenerateRotationError):
-        component_classification(s.items()[0][0], 3, tol=1e-3)
+        OrbitSet([(orbit, 3)])
 
 
 # -- oracle: the naive Fraction sums that the integer bookkeeping replaced ----

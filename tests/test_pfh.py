@@ -251,6 +251,26 @@ def test_complex_stream_pinned():
     )
 
 
+def test_corner_hulls_lie_strictly_between_their_corner_levels():
+    # boundary() splices a rounded zone between its neighbour edges without
+    # re-sorting or merging; that is sound only because every corner hull's
+    # levels strictly increase and lie strictly between the corner's levels
+    hulls = 0
+    for f in CRITERION_10_PROFILES:
+        for d in range(1, 10):
+            cx = build_complex(f, d)
+            for a in range(cx.ref_id + 1):
+                for b in [*range(a + 1, cx.ref_id + 1), None]:
+                    hull = cx._corner_hull(a, b)
+                    if hull is None:
+                        continue
+                    hulls += 1
+                    ids = [i for i, _, _ in hull]
+                    assert all(i < j for i, j in zip(ids, ids[1:]))
+                    assert a < ids[0] and (b is None or ids[-1] < b)
+    assert hulls > 1000
+
+
 @pytest.mark.parametrize("profile", SAMPLE_PROFILES, ids=lambda p: p.name)
 def test_gradings_and_ranks_oracle(profile):
     # independent gradings: count the lattice points under each path column

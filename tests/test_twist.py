@@ -12,7 +12,6 @@ from echlab.twist import (
     calabi,
     constant_profile,
     disk_area_level,
-    hamiltonian_profile,
     hofer_norm_bound,
     level_action,
     linear_profile,
@@ -27,7 +26,7 @@ TWO_PI = 2 * math.pi
 
 
 def test_hamiltonian_closed_forms():
-    assert hamiltonian_profile(zero_profile())(0.3) == 0.0
+    assert zero_profile().hamiltonian(0.3) == 0.0
     c = 2.7
     f = constant_profile(c)
     for r in (0.0, 0.25, 0.5, 1.0):
