@@ -1,8 +1,9 @@
 """Command-line entry point: deterministic experiment orchestration.
 
 Exit codes: 0 when every verdict passes, 1 when any fails, 2 on usage,
-input, schema or cap errors: ``main`` turns every ValueError, OSError,
-missing key and generator or spectrum cap error into one ``error:`` line.
+input, schema or cap errors: ``main`` turns every ValueError (argument
+errors included), OSError, missing key and generator or spectrum cap error
+into one ``error:`` line.
 All randomized sweeps consume only the seeded generator, so identical
 configurations produce byte-identical output bundles.
 """
@@ -41,6 +42,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are UsageErrors, so ``main`` reports
+    them like every other usage error: exit 2 and one ``error:`` line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -59,15 +68,20 @@ def parse_number(text: str) -> float:
     if text.startswith("sqrt"):
         return math.sqrt(float(text[4:]))
     if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
+        return _parse_fraction(text)
     return float(text)
+
+
+def _parse_fraction(text: str) -> Fraction:
+    num, den = text.split("/")
+    if int(den) == 0:
+        raise UsageError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den))
 
 
 def parse_rotation(text: str) -> Rotation:
     if "/" in text:
-        num, den = text.split("/")
-        return Rotation.rational(int(num), int(den))
+        return Rotation.rational(_parse_fraction(text))
     if text.startswith("sqrt"):
         return Rotation.real(math.sqrt(float(text[4:])))
     try:
@@ -125,22 +139,20 @@ def _ellipsoid_census(cfg: RunConfig, bundle: ReportBundle):
 
 def _ellipsoid_spectrum(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
-    formal = bool(cfg.params.get("formal", False))
-    if "count" in cfg.params and cfg.params["count"]:
-        entries = [
-            el.SpectrumEntry(k, v, 2 * k, (m, n))
-            for k, (v, m, n) in enumerate(
-                el.spectrum_values(e, count=int(cfg.params["count"]), formal=formal, cap=int(cfg.params.get("cap", 10**7)))
-            )
-        ]
-    else:
-        entries = el.action_spectrum(e, float(cfg.params.get("L", 10.0)), formal=formal)
+    count = cfg.params.get("count")
+    values = el.spectrum_values(
+        e,
+        L=None if count else float(cfg.params.get("L", 10.0)),
+        count=int(count) if count else None,
+        formal=bool(cfg.params.get("formal", False)),
+        cap=int(cfg.params.get("cap", 10**7)),
+    )
     bundle.add_table(
         "spectrum",
         ["k", "c_k", "grading", "m", "n"],
-        [(s.k, s.c, s.grading, s.witness[0], s.witness[1]) for s in entries],
+        [(k, v, 2 * k, m, n) for k, (v, m, n) in enumerate(values)],
     )
-    nondecreasing = all(a.c <= b.c + 1e-12 for a, b in zip(entries, entries[1:]))
+    nondecreasing = all(a[0] <= b[0] + 1e-12 for a, b in zip(values, values[1:]))
     bundle.add_verdict("spectrum_sorted", nondecreasing)
 
 
@@ -414,16 +426,14 @@ def _selftest(cfg: RunConfig, bundle: ReportBundle):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--cap", type=int, default=None)
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--format", dest="formats", action="append",
                         choices=["csv", "json", "svg"], default=None)
     common.add_argument("--config", type=str, default=None, help="JSON file of parameter overrides")
 
-    parser = argparse.ArgumentParser(prog="echlab", description=__doc__)
+    parser = _Parser(prog="echlab", description=__doc__)
     sub = parser.add_subparsers(dest="group")
 
     ell = sub.add_parser("ellipsoid").add_subparsers(dest="cmd")
@@ -437,9 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--L", type=float, default=None)
             p.add_argument("--count", type=int, default=None)
             p.add_argument("--formal", action="store_true")
+            p.add_argument("--cap", type=int, default=None)
         if name == "weyl":
             p.add_argument("--kmax", type=int, default=10**5)
             p.add_argument("--formal", action="store_true")
+            p.add_argument("--tol", type=float, default=None)
         if name == "return-map":
             p.add_argument("--points", type=int, default=100)
 
@@ -449,6 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", type=str, required=True)
         if name in ("census", "complex", "cd"):
             p.add_argument("--d", type=int, default=4 if name != "cd" else 16)
+        if name == "complex":
+            p.add_argument("--cap", type=int, default=None)
         if name == "axioms":
             p.add_argument("--profile2", type=str, default=None)
             p.add_argument("--dmax", type=int, default=128)
@@ -478,15 +492,11 @@ def config_from_args(args) -> RunConfig:
     command = group if group in ("partitions", "score", "tower", "selftest") else f"{group}.{getattr(args, 'cmd', None)}"
     if command.endswith("None"):
         raise UsageError(f"missing subcommand for {group!r}")
-    skip = {"group", "cmd", "seed", "tol", "cap", "out", "formats", "config"}
+    skip = {"group", "cmd", "seed", "out", "formats", "config"}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     if args.config:
         with open(args.config) as fh:
             params.update(json.load(fh))
-    if args.tol is not None:
-        params["tol"] = args.tol
-    if args.cap is not None:
-        params["cap"] = args.cap
     return RunConfig(
         command=command,
         params=params,

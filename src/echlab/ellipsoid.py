@@ -23,24 +23,17 @@ class ResourceCapError(RuntimeError):
     """Spectrum enumeration would exceed the configured entry cap."""
 
 
-def _detect_rational(x: Union[float, Fraction], tol: float = 1e-12, max_den: int = 10**6):
-    """Return Fraction(p, q) when x is (within tol of) a rational with small
-    denominator, else None.  Exact Fractions pass straight through.
+def _detect_rational(x: float) -> Optional[Fraction]:
+    """Return Fraction(p, q) when the float x encodes a rational with
+    denominator at most 1e6, else None.
 
     Floats must beat the Diophantine-typical approximation quality c/q^2 by
-    a wide margin, so quadratic irrationals near the tolerance boundary are
-    not misflagged.
+    a wide margin, so quadratic irrationals near the gate are not misflagged.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    cand = Fraction(x).limit_denominator(max_den)
-    err = abs(float(cand) - x)
+    cand = Fraction(x).limit_denominator(10**6)
     # a float that truly encodes p/q (q <= 1e6) is off by storage rounding
-    # only (~1e-16); irrational best approximants sit orders of magnitude
-    # higher, so the effective gate is far below the nominal tolerance
-    if err <= tol * max(1.0, abs(x)) and err <= 1e-14 * max(1.0, abs(x)):
+    # only (~1e-16); irrational best approximants sit orders of magnitude higher
+    if abs(float(cand) - x) <= 1e-14 * max(1.0, abs(x)):
         return cand
     return None
 
@@ -51,7 +44,7 @@ class Ellipsoid:
 
     The aspect ratio a/b is probed for rationality at construction: exact
     Fraction inputs are tested exactly, and floats are treated as irrational
-    unless within 1e-12 of a rational with denominator <= 1e6.
+    unless within 1e-14 (relative) of a rational with denominator <= 1e6.
     """
 
     a: Union[float, Fraction]
@@ -198,7 +191,7 @@ def spectrum_values(
     return out
 
 
-def cached_spectrum_values(e: Ellipsoid, count: int, cap: int = 10**7) -> np.ndarray:
+def cached_spectrum_values(e: Ellipsoid, count: int) -> np.ndarray:
     """Spectrum values with optional on-disk memoization.
 
     When ECHLAB_CACHE_DIR is set, results are stored as .npy files (binary
@@ -222,7 +215,7 @@ def cached_spectrum_values(e: Ellipsoid, count: int, cap: int = 10**7) -> np.nda
                 return data
         except (OSError, ValueError, EOFError):
             pass
-    data = np.array([v[0] for v in spectrum_values(e, count=count, cap=cap)])
+    data = np.array([v[0] for v in spectrum_values(e, count=count)])
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -236,24 +229,22 @@ def cached_spectrum_values(e: Ellipsoid, count: int, cap: int = 10**7) -> np.nda
     return data
 
 
-def action_spectrum(
-    e: Ellipsoid, L: float, formal: bool = False, cap: int = 10**7
-) -> List[SpectrumEntry]:
+def action_spectrum(e: Ellipsoid, L: float, formal: bool = False) -> List[SpectrumEntry]:
     """Indexed action spectrum up to L: entries (k, c_k, grading 2k, witness)."""
-    vals = spectrum_values(e, L=L, formal=formal, cap=cap)
+    vals = spectrum_values(e, L=L, formal=formal)
     return [SpectrumEntry(k, v, 2 * k, (m, n)) for k, (v, m, n) in enumerate(vals)]
 
 
-def spectral_invariant(e: Ellipsoid, k: int, formal: bool = False, cap: int = 10**7) -> SpectrumEntry:
+def spectral_invariant(e: Ellipsoid, k: int, formal: bool = False) -> SpectrumEntry:
     """The k-th spectral value, growing the enumeration adaptively."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    vals = spectrum_values(e, count=k + 1, formal=formal, cap=cap)
+    vals = spectrum_values(e, count=k + 1, formal=formal)
     v, m, n = vals[k]
     return SpectrumEntry(k, v, 2 * k, (m, n))
 
 
-def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False, cap: int = 10**7) -> dict:
+def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
     """Convergence of c_k^2 / (2k) to the contact volume a*b.
 
     Rows are a geometric subsample of k up to kmax; the summary records the
@@ -264,9 +255,9 @@ def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False, cap: int = 10**7) 
     if not formal and e.is_rational:
         raise ValueError("irrational aspect ratio required outside formal mode")
     if formal:
-        cs = np.array([x[0] for x in spectrum_values(e, count=kmax + 1, formal=True, cap=cap)])
+        cs = np.array([x[0] for x in spectrum_values(e, count=kmax + 1, formal=True)])
     else:
-        cs = cached_spectrum_values(e, kmax + 1, cap)
+        cs = cached_spectrum_values(e, kmax + 1)
     v = volume(e)
     ks = np.arange(len(cs))
     rows = []
@@ -288,9 +279,9 @@ def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False, cap: int = 10**7) 
     }
 
 
-def max_deviation_over(e: Ellipsoid, k_lo: int, k_hi: int, cap: int = 10**7) -> float:
+def max_deviation_over(e: Ellipsoid, k_lo: int, k_hi: int) -> float:
     """max over k in [k_lo, k_hi] of |c_k^2/(2k) - volume|."""
-    cs = cached_spectrum_values(e, k_hi + 1, cap)
+    cs = cached_spectrum_values(e, k_hi + 1)
     v = volume(e)
     ks = np.arange(len(cs))
     dev = np.abs(cs[k_lo : k_hi + 1] ** 2 / (2.0 * ks[k_lo : k_hi + 1]) - v)
@@ -365,7 +356,7 @@ def gss_return_map(e: Ellipsoid, point: Tuple[float, float]) -> Tuple[Tuple[floa
     return (radius, (angle + TWO_PI * a / b) % TWO_PI), a
 
 
-def product_of_periods_check(e: Ellipsoid, rel_tol: float = 1e-12) -> dict:
+def product_of_periods_check(e: Ellipsoid) -> dict:
     """Two-orbit identity: the product of the two simple periods equals the volume."""
     if e.is_rational:
         raise ValueError("not a two-orbit flow")
@@ -376,5 +367,5 @@ def product_of_periods_check(e: Ellipsoid, rel_tol: float = 1e-12) -> dict:
         "product_of_periods": prod,
         "volume": vol,
         "difference": diff,
-        "ok": diff <= rel_tol * max(abs(prod), abs(vol)),
+        "ok": diff <= 1e-12 * max(abs(prod), abs(vol)),
     }

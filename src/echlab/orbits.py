@@ -415,9 +415,15 @@ def _num_to_json(x):
     return float(x)
 
 
+def _fraction_from_json(v: list) -> Fraction:
+    if v[1] == 0:
+        raise StructuralError(f"zero denominator in {v!r}")
+    return Fraction(v[0], v[1])
+
+
 def _num_from_json(v):
     if isinstance(v, list):
-        return Fraction(v[0], v[1])
+        return _fraction_from_json(v)
     return float(v)
 
 
@@ -434,7 +440,7 @@ def orbit_to_json(o: SimpleOrbit) -> dict:
 
 def orbit_from_json(d: dict) -> SimpleOrbit:
     theta = d["theta"]
-    rot = Rotation.rational(theta[0], theta[1]) if isinstance(theta, list) else Rotation.real(theta)
+    rot = Rotation.rational(_fraction_from_json(theta)) if isinstance(theta, list) else Rotation.real(theta)
     return SimpleOrbit(
         label=d["label"],
         action=_num_from_json(d["action"]),

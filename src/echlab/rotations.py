@@ -2,8 +2,11 @@
 
 Rotation numbers are dimensionless (one full turn = 1).  Exact rationals and
 floating-point reals never mix silently: every value carries its
-representation tag, and the floating lane guards all floor/ceil calls with an
-integrality tolerance.
+representation tag.  The index and partition constructions are stated for
+nondegenerate orbits, so the floating lane has one guard, ``_near_integer``
+with the fixed threshold ``REAL_GUARD`` = 1e-12: a real multiple m*theta that
+close to an integer is degenerate, and floor/ceil refuse it with
+DegenerateRotationError.  Exact rationals need no guard.
 """
 
 from __future__ import annotations
@@ -14,13 +17,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-DEFAULT_TOL = 1e-12
+REAL_GUARD = 1e-12
 
 Number = Union[int, float, Fraction]
 
 
 class DegenerateRotationError(ValueError):
-    """A real rotation number sits within tolerance of an integrality wall."""
+    """A real rotation number sits within the guard of an integrality wall."""
+
+
+def _near_integer(x: float) -> bool:
+    """The real lane's nondegeneracy guard: x within REAL_GUARD of an integer."""
+    return abs(x - round(x)) <= REAL_GUARD
 
 
 @dataclass(frozen=True)
@@ -54,40 +62,36 @@ class Rotation:
     def __float__(self) -> float:
         return float(self.value)
 
-    def scaled_floor(self, m: int, tol: float = DEFAULT_TOL) -> int:
+    def scaled_floor(self, m: int) -> int:
         """floor(m * theta), guarded against near-integral m*theta in the real lane."""
         if self.exact:
-            return math.floor(self.value * m)
+            return self.value.numerator * m // self.value.denominator
         x = self.value * m
-        r = round(x)
-        if abs(x - r) <= tol:
+        if _near_integer(x):
             raise DegenerateRotationError(
                 f"degenerate rotation at multiplicity {m}: m*theta = {x!r} is within "
-                f"{tol} of an integer; pass an exact rational or opt into degenerate handling"
+                f"{REAL_GUARD} of an integer; pass an exact rational p/q"
             )
         return math.floor(x)
 
-    def scaled_ceil(self, m: int, tol: float = DEFAULT_TOL) -> int:
+    def scaled_ceil(self, m: int) -> int:
         if self.exact:
-            return math.ceil(self.value * m)
-        return self.scaled_floor(m, tol) + 1
+            return -(-self.value.numerator * m // self.value.denominator)
+        return self.scaled_floor(m) + 1
 
-    def is_integral(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_integral(self) -> bool:
         if self.exact:
             return self.value.denominator == 1
-        return abs(self.value - round(self.value)) <= tol
+        return _near_integer(self.value)
 
-    def is_half_integral(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_half_integral(self) -> bool:
         """theta in Z + 1/2."""
         if self.exact:
             return self.value.denominator == 2
-        y = self.value - 0.5
-        return abs(y - round(y)) <= tol
+        return _near_integer(self.value - 0.5)
 
     def fractional_part(self) -> Union[Fraction, float]:
         """{theta} in [0, 1), consistent for negative theta."""
-        if self.exact:
-            return self.value - math.floor(self.value)
         return self.value - math.floor(self.value)
 
 
@@ -125,34 +129,24 @@ class Partition:
         return not (set(self.parts) & set(other.parts))
 
 
-def cz_index(theta, m: int, tol: float = DEFAULT_TOL, allow_degenerate: bool = False) -> int:
+def cz_index(theta, m: int) -> int:
     """Conley-Zehnder index of the m-fold cover: floor(m*theta) + ceil(m*theta).
 
-    Exact for rational theta.  For real theta, m*theta within ``tol`` of an
-    integer raises DegenerateRotationError unless ``allow_degenerate`` is set,
-    in which case the value is snapped to the integer (both floor and ceil
-    equal it).
+    Exact for rational theta.  For real theta, m*theta within REAL_GUARD of
+    an integer is a degenerate cover, and its index is undefined: the call
+    raises DegenerateRotationError.
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
     rot = Rotation.coerce(theta)
-    if rot.exact:
-        x = rot.value * m
-        return math.floor(x) + math.ceil(x)
-    x = rot.value * m
-    r = round(x)
-    if abs(x - r) <= tol:
-        if not allow_degenerate:
-            raise DegenerateRotationError(f"degenerate rotation at multiplicity {m}")
-        return 2 * int(r)
-    return math.floor(x) + math.ceil(x)
+    return rot.scaled_floor(m) + rot.scaled_ceil(m)
 
 
-def _column_heights(rot: Rotation, m: int, upper: bool, tol: float) -> list:
+def _column_heights(rot: Rotation, m: int, upper: bool) -> list:
     """Heights floor(x*theta) (upper path) or ceil(x*theta) (lower path), x = 0..m."""
     if upper:
-        return [0] + [rot.scaled_floor(x, tol) for x in range(1, m + 1)]
-    return [0] + [rot.scaled_ceil(x, tol) for x in range(1, m + 1)]
+        return [0] + [rot.scaled_floor(x) for x in range(1, m + 1)]
+    return [0] + [rot.scaled_ceil(x) for x in range(1, m + 1)]
 
 
 def _cross(o, a, b) -> int:
@@ -184,14 +178,14 @@ def _parts_from_vertices(vertices: list) -> list:
 
 
 @lru_cache(maxsize=65536)
-def _partition_cached(rot: Rotation, m: int, upper: bool, tol: float) -> Partition:
-    heights = _column_heights(rot, m, upper=upper, tol=tol)
+def _partition_cached(rot: Rotation, m: int, upper: bool) -> Partition:
+    heights = _column_heights(rot, m, upper=upper)
     pts = [(x, h) for x, h in enumerate(heights)]
     verts = _hull_path(pts, upper=upper)
     return Partition(tuple(_parts_from_vertices(verts)))
 
 
-def partition_positive(theta, m: int, tol: float = DEFAULT_TOL) -> Partition:
+def partition_positive(theta, m: int) -> Partition:
     """Positive partition p+_theta(m): horizontal displacements of the maximal
     concave lattice path below y = theta*x from (0,0) to (m, floor(m*theta)).
 
@@ -200,19 +194,19 @@ def partition_positive(theta, m: int, tol: float = DEFAULT_TOL) -> Partition:
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
-    return _partition_cached(Rotation.coerce(theta), m, True, tol)
+    return _partition_cached(Rotation.coerce(theta), m, True)
 
 
-def partition_negative(theta, m: int, tol: float = DEFAULT_TOL) -> Partition:
+def partition_negative(theta, m: int) -> Partition:
     """Negative partition p-_theta(m): horizontal displacements of the lower
     convex-hull boundary of lattice points on or above y = theta*x, from (0,0)
     to (m, ceil(m*theta))."""
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
-    return _partition_cached(Rotation.coerce(theta), m, False, tol)
+    return _partition_cached(Rotation.coerce(theta), m, False)
 
 
-def staircase_partition(theta, m: int, positive: bool = True, tol: float = DEFAULT_TOL) -> Partition:
+def staircase_partition(theta, m: int, positive: bool = True) -> Partition:
     """Independent O(m^2) greedy-staircase oracle for p+/p-.
 
     From each reached lattice point, take the step of maximal (positive case,
@@ -221,7 +215,7 @@ def staircase_partition(theta, m: int, positive: bool = True, tol: float = DEFAU
     as vertices.  Used only to cross-check the convex-hull construction.
     """
     rot = Rotation.coerce(theta)
-    heights = _column_heights(rot, m, upper=positive, tol=tol)
+    heights = _column_heights(rot, m, upper=positive)
     parts = []
     x, y = 0, 0
     while x < m:
@@ -245,7 +239,7 @@ def staircase_partition(theta, m: int, positive: bool = True, tol: float = DEFAU
     return Partition(tuple(parts))
 
 
-def partition_properties(theta, m: int, tol: float = DEFAULT_TOL) -> dict:
+def partition_properties(theta, m: int) -> dict:
     """Evaluate the three reversal-lemma items for (theta, m), m >= 2, theta not integral.
 
     (i)   p+ and p- share no part value,
@@ -264,21 +258,17 @@ def partition_properties(theta, m: int, tol: float = DEFAULT_TOL) -> dict:
     if m < 2:
         raise ValueError(f"properties are stated for m >= 2, got {m}")
     rot = Rotation.coerce(theta)
-    if rot.is_integral(tol):
+    if rot.is_integral():
         raise ValueError("integral rotation: handled by the hyperbolic-case clauses instead")
-    pp = partition_positive(rot, m, tol)
-    pn = partition_negative(rot, m, tol)
+    pp = partition_positive(rot, m)
+    pn = partition_negative(rot, m)
     frac = rot.fractional_part()
     if rot.exact:
-        den = rot.value.denominator
-        covers_nondegenerate = m < den
+        covers_nondegenerate = m < rot.value.denominator
         top_nondegenerate = (rot.value * m).denominator > 1
     else:
-        covers_nondegenerate = all(
-            abs(rot.value * k - round(rot.value * k)) > tol for k in range(1, m + 1)
-        )
-        x = rot.value * m
-        top_nondegenerate = abs(x - round(x)) > tol
+        # the partitions passed the real-lane guard at every cover k <= m
+        covers_nondegenerate = top_nondegenerate = True
     item1 = pp.disjoint_from(pn) if covers_nondegenerate else None
     item2 = ((1 in pp) != (1 in pn)) if covers_nondegenerate else None
     if top_nondegenerate:
@@ -301,16 +291,16 @@ def partition_properties(theta, m: int, tol: float = DEFAULT_TOL) -> dict:
     }
 
 
-def hyperbolic_expectation(theta, m: int, tol: float = DEFAULT_TOL) -> Partition:
+def hyperbolic_expectation(theta, m: int) -> Partition:
     """Expected partition at integral / half-integral rotation (either sign of end).
 
     Integral theta: m parts of size 1.  Half-integral theta: m/2 twos when m
     is even, else floor(m/2) twos and a single one.
     """
     rot = Rotation.coerce(theta)
-    if rot.is_integral(tol):
+    if rot.is_integral():
         return Partition((1,) * m)
-    if rot.is_half_integral(tol):
+    if rot.is_half_integral():
         if m % 2 == 0:
             return Partition((2,) * (m // 2))
         return Partition((2,) * (m // 2) + (1,))

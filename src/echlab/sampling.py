@@ -29,15 +29,19 @@ from .rotations import Partition, Rotation, cz_index, partition_negative, partit
 
 
 _DENOMINATORS = (1, 2, 3, 4, 6, 8, 12, 24)  # keep telescoping sums in machine ints
+POOL_SIZE = 12  # orbits per pool
+POOL_MAX_DEN = 12  # largest rotation denominator of an elliptic pool orbit
+SET_MAX_ORBITS = 4  # distinct orbits per random orbit set
+SET_MAX_MULT = 5  # largest multiplicity of an elliptic entry
 
 
-def orbit_pool(rng: random.Random, size: int = 12, max_den: int = 12) -> List[SimpleOrbit]:
-    """A pool of distinct orbits with exact rational actions and rotations."""
+def orbit_pool(rng: random.Random) -> List[SimpleOrbit]:
+    """A pool of POOL_SIZE distinct orbits with exact rational actions and rotations."""
     pool: List[SimpleOrbit] = []
-    for i in range(size):
+    for i in range(POOL_SIZE):
         choice = rng.random()
         if choice < 0.70:
-            den = rng.randint(2, max_den)
+            den = rng.randint(2, POOL_MAX_DEN)
             num = rng.randint(1, 3 * den)
             if num % den == 0:
                 num += 1
@@ -56,15 +60,13 @@ def orbit_pool(rng: random.Random, size: int = 12, max_den: int = 12) -> List[Si
     return pool
 
 
-def random_orbit_set(
-    rng: random.Random, pool: Sequence[SimpleOrbit], max_orbits: int = 4, max_mult: int = 5
-) -> OrbitSet:
+def random_orbit_set(rng: random.Random, pool: Sequence[SimpleOrbit]) -> OrbitSet:
     """A random admissible generator: hyperbolic entries stay at multiplicity 1."""
-    chosen = rng.sample(range(len(pool)), rng.randint(1, max_orbits))
+    chosen = rng.sample(range(len(pool)), rng.randint(1, SET_MAX_ORBITS))
     entries = []
     for i in chosen:
         orbit = pool[i]
-        mult = 1 if orbit.is_hyperbolic else rng.randint(1, max_mult)
+        mult = 1 if orbit.is_hyperbolic else rng.randint(1, SET_MAX_MULT)
         entries.append((orbit, mult))
     return OrbitSet(entries)
 
@@ -96,16 +98,10 @@ def _random_ends(
     return tuple(out)
 
 
-def random_tower(
-    rng: random.Random,
-    n: int,
-    pool_size: int = 12,
-    max_orbits: int = 4,
-    max_mult: int = 5,
-) -> Tower:
+def random_tower(rng: random.Random, n: int) -> Tower:
     """A structurally valid tower of n curves with exact Fraction actions."""
-    pool = orbit_pool(rng, pool_size)
-    sets = [random_orbit_set(rng, pool, max_orbits, max_mult) for _ in range(n + 1)]
+    pool = orbit_pool(rng)
+    sets = [random_orbit_set(rng, pool) for _ in range(n + 1)]
     # sort on the exact integers action * L, with L the LCM of the pool's denominators
     common = math.lcm(*(o.action.denominator for o in pool))
     sets.sort(key=lambda s: s.action.numerator * (common // s.action.denominator), reverse=True)

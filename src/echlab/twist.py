@@ -29,6 +29,9 @@ CALIBRATION = {
     "spectral_rule": "radial-staircase",
 }
 
+_LEVEL_TOL = 1e-12  # bisection and plateau tolerance of the level solver
+_CERTIFY_SAMPLES = 64  # sample points per segment in the monotonicity certificate
+
 
 class PlateauError(ValueError):
     """The profile is constant at a requested rotation level."""
@@ -93,12 +96,12 @@ class TwistProfile:
 
     # -- certification and basic queries ------------------------------------
 
-    def _certify_monotone(self, samples_per_segment: int = 64):
+    def _certify_monotone(self):
         prev_val = math.inf
         for seg in self.segments:
             lo = max(seg.lo, 1e-9)
-            for j in range(samples_per_segment + 1):
-                s = lo + (seg.hi - lo) * j / samples_per_segment
+            for j in range(_CERTIFY_SAMPLES + 1):
+                s = lo + (seg.hi - lo) * j / _CERTIFY_SAMPLES
                 v = seg.value(s)
                 if v < -1e-12:
                     raise MonotonicityError(f"negative twist angle {v} at r={s}")
@@ -323,20 +326,18 @@ def disk_area_level(r: float) -> float:
     return 0.5 * (1.0 - r * r)
 
 
-def level_action(
-    f: TwistProfile, p: int, q: int, radius: float, p_area_scale: Optional[float] = None
-) -> float:
+def level_action(f: TwistProfile, p: int, q: int, radius: float) -> float:
     """Action of the level-(p/q) circle: q H(r) + p * (area term).
 
-    The area term is p_area_scale * E(r); the calibrated scale (2*pi, i.e.
-    the honest symplectic area p * pi * (1 - r^2)) comes from the run
-    manifest.  Both Morse-Bott partners receive the same action.
+    The area term is CALIBRATION["p_area_scale"] * E(r); the calibrated
+    scale (2*pi, i.e. the honest symplectic area p * pi * (1 - r^2)) is
+    recorded in the run manifest.  Both Morse-Bott partners receive the
+    same action.
     """
-    scale = CALIBRATION["p_area_scale"] if p_area_scale is None else p_area_scale
-    return q * f.hamiltonian(radius) + p * scale * disk_area_level(radius)
+    return q * f.hamiltonian(radius) + p * CALIBRATION["p_area_scale"] * disk_area_level(radius)
 
 
-def _solve_level(f: TwistProfile, target: float, tol: float = 1e-12) -> Optional[float]:
+def _solve_level(f: TwistProfile, target: float) -> Optional[float]:
     """Radius with f(r) = target (f non-increasing), or None when unattained.
 
     Raises PlateauError when the level is met by a constant segment.
@@ -345,12 +346,12 @@ def _solve_level(f: TwistProfile, target: float, tol: float = 1e-12) -> Optional
         lo = max(seg.lo, 1e-15)
         v_lo, v_hi = seg.value(lo), seg.value(seg.hi)
         if seg.is_constant():
-            if abs(v_hi - target) <= tol * max(1.0, abs(target)):
+            if abs(v_hi - target) <= _LEVEL_TOL * max(1.0, abs(target)):
                 raise PlateauError(
                     f"profile is constant at level {target} on [{seg.lo}, {seg.hi}]"
                 )
             continue
-        if v_hi - tol <= target <= v_lo + tol:
+        if v_hi - _LEVEL_TOL <= target <= v_lo + _LEVEL_TOL:
             a, b = lo, seg.hi
             for _ in range(200):
                 mid = 0.5 * (a + b)
@@ -358,13 +359,13 @@ def _solve_level(f: TwistProfile, target: float, tol: float = 1e-12) -> Optional
                     a = mid
                 else:
                     b = mid
-                if b - a <= tol:
+                if b - a <= _LEVEL_TOL:
                     break
             return 0.5 * (a + b)
     return None
 
 
-def periodic_census(f: TwistProfile, d: int, tol: float = 1e-12) -> List[PeriodicCircle]:
+def periodic_census(f: TwistProfile, d: int) -> List[PeriodicCircle]:
     """All level circles f(r) = 2 pi p/q with q <= d, solved by bisection.
 
     Requires the rotation at the center to be finite (truncate divergent
@@ -378,12 +379,13 @@ def periodic_census(f: TwistProfile, d: int, tol: float = 1e-12) -> List[Periodi
     # the center value is attained only when the profile plateaus there;
     # otherwise it is an unattained supremum and sits outside the range
     top_attained = f.segments[0].is_constant()
-    cutoff = top + tol * max(1.0, top) if top_attained else top - tol * max(1.0, top)
+    slack = _LEVEL_TOL * max(1.0, top)
+    cutoff = top + slack if top_attained else top - slack
     for q in range(1, d + 1):
         p = 1
         while TWO_PI * p / q < cutoff:
             if math.gcd(p, q) == 1:
-                r = _solve_level(f, TWO_PI * p / q, tol)
+                r = _solve_level(f, TWO_PI * p / q)
                 if r is not None:
                     out.append(PeriodicCircle(p, q, r, level_action(f, p, q, r)))
             p += 1

@@ -63,15 +63,30 @@ def test_twist_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_complex_cap_error_exits_2(capsys):
-    # a cap error and two invalid-input errors share one contract: exit 2
-    # with a single "error:" line and no traceback
+def test_complex_cap_error_exits_2(tmp_path, capsys):
+    # cap errors and invalid-input errors share one contract: exit 2 with a
+    # single "error:" line and no traceback
     profile = os.path.join(os.path.dirname(__file__), os.pardir, "profiles", "linear_cal.json")
+    zero_den = {}
+    for field in ("action", "theta"):
+        orbit = {"label": "a", "action": [1, 2], "theta": [1, 5], "kind": "elliptic", field: [1, 0]}
+        zero_den[field] = tmp_path / f"{field}.json"
+        zero_den[field].write_text(json.dumps({"orbits": [orbit], "entries": [["a", 1]]}))
     cases = [
         (["twist", "complex", "--profile", profile, "--d", "14", "--cap", "1000"],
          "error: generator cap 1000 exceeded"),
         (["ellipsoid", "spectrum", "--a", "1", "--b", "2"], "error: rational aspect ratio"),
         (["ellipsoid", "census", "--a", "-1", "--b", "2"], "error: ellipsoid parameters must be positive"),
+        (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--L", "30", "--cap", "5"],
+         "error: spectrum entry cap 5 exceeded"),
+        (["ellipsoid", "census", "--a", "1/0", "--b", "2"],
+         "error: echlab ellipsoid census: argument --a: invalid parse_number value: '1/0'"),
+        (["partitions", "--theta", "1/0", "--m", "2"], "error: zero denominator in '1/0'"),
+        (["score", "--input", str(zero_den["action"])], "error: zero denominator in [1, 0]"),
+        (["score", "--input", str(zero_den["theta"])], "error: zero denominator in [1, 0]"),
+        (["partitions", "--theta", "0.5", "--m", "2"],
+         "error: degenerate rotation at multiplicity 2: m*theta = 1.0 is within 1e-12 of an "
+         "integer; pass an exact rational p/q\n"),
     ]
     for argv, message in cases:
         code = main(argv)
@@ -79,6 +94,32 @@ def test_complex_cap_error_exits_2(capsys):
         assert code == 2
         assert err.startswith(message) and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_tol_and_cap_only_on_the_subcommands_that_read_them(tmp_path, capsys):
+    profile = os.path.join(os.path.dirname(__file__), os.pardir, "profiles", "linear_cal.json")
+    required = {"ellipsoid": ["--a", "1", "--b", "sqrt2"], "twist": ["--profile", profile]}
+    commands = [["ellipsoid", n] for n in ("census", "spectrum", "weyl", "return-map", "identity-check")]
+    commands += [["twist", n] for n in ("calabi", "census", "complex", "cd", "axioms", "infinite")]
+    commands += [["partitions", "--theta", "7/10", "--m", "2"], ["score", "--input", "x.json"],
+                 ["tower", "--input", "x.json"], ["selftest"]]
+    readers = {"--tol": [["ellipsoid", "weyl"]], "--cap": [["ellipsoid", "spectrum"], ["twist", "complex"]]}
+    for flag, owners in readers.items():
+        for argv in commands:
+            if argv[:2] in owners:
+                continue
+            code = main(argv + required.get(argv[0], []) + [flag, "1"])
+            err = capsys.readouterr().err
+            assert code == 2 and "unrecognized arguments: " + flag in err, argv
+    # the readers still take them, and a --config file overrides them like any flag
+    assert main(["ellipsoid", "weyl", "--a", "1", "--b", "sqrt2", "--kmax", "2000", "--tol", "0.05"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["config"]["tol"] == 0.05
+    assert main(["twist", "complex", "--profile", profile, "--d", "3", "--cap", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["config"]["cap"] == 1000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cap": 1000}))
+    assert main(["twist", "complex", "--profile", profile, "--d", "14", "--cap", "10", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: generator cap 1000 exceeded")
 
 
 def test_score_and_tower_commands(tmp_path, capsys):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echlab.orbits import ELLIPTIC, NEGATIVE_HYPERBOLIC, POSITIVE_HYPERBOLIC, OrbitSet, SimpleOrbit
 from echlab.rotations import (
+    REAL_GUARD,
     DegenerateRotationError,
     Partition,
     Rotation,
@@ -30,7 +32,50 @@ def test_cz_examples():
 def test_cz_degenerate_real_rotation_raises():
     with pytest.raises(DegenerateRotationError):
         cz_index(Rotation.real(0.5000000000000001), 2)
-    assert cz_index(Rotation.real(0.5000000000000001), 2, allow_degenerate=True) == 2
+
+
+def test_real_lane_guard_is_one_threshold():
+    # theta about 1e-13 from an integer or a half-integer puts its multiples
+    # inside the 1e-12 guard, about 1e-9 away puts them outside; every
+    # consumer of the guard must draw the line in the same place
+    for base in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)):
+        for offset in (1e-13, -1e-13, 1e-9, -1e-9):
+            rot = Rotation.real(float(base) + offset)
+            inside = abs(offset) < REAL_GUARD
+            assert rot.is_integral() == (inside and base.denominator == 1)
+            assert rot.is_half_integral() == (inside and base.denominator == 2)
+            kind = ELLIPTIC
+            if inside:
+                kind = POSITIVE_HYPERBOLIC if base.denominator == 1 else NEGATIVE_HYPERBOLIC
+            orbit = SimpleOrbit("g", Fraction(1), rot, kind)
+            for m in range(1, 6):
+                # degenerate: k * theta sits on an integer, for k = m or some k <= m
+                top = inside and (m * base).denominator == 1
+                covers = inside and any((k * base).denominator == 1 for k in range(1, m + 1))
+                if top:
+                    with pytest.raises(DegenerateRotationError):
+                        cz_index(rot, m)
+                else:
+                    x = m * rot.value
+                    assert cz_index(rot, m) == math.floor(x) + math.ceil(x)
+                for call in (lambda: partition_positive(rot, m), lambda: partition_negative(rot, m),
+                             lambda: OrbitSet([(orbit, m)])):
+                    if covers:
+                        with pytest.raises(DegenerateRotationError):
+                            call()
+                    else:
+                        call()
+                if m < 2:
+                    continue
+                if rot.is_integral():
+                    with pytest.raises(ValueError):
+                        partition_properties(rot, m)
+                elif covers:
+                    with pytest.raises(DegenerateRotationError):
+                        partition_properties(rot, m)
+                else:
+                    rep = partition_properties(rot, m)
+                    assert rep["reversal_applicable"] and rep["bound_applicable"]
 
 
 def test_cz_negative_rotation():
