@@ -66,10 +66,14 @@ def parse_number(text: str) -> float:
     if text in named:
         return named[text]
     if text.startswith("sqrt"):
-        return math.sqrt(float(text[4:]))
-    if "/" in text:
+        value = math.sqrt(float(text[4:]))
+    elif "/" in text:
         return _parse_fraction(text)
-    return float(text)
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"non-finite number {text!r}")
+    return value
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -140,10 +144,14 @@ def _ellipsoid_census(cfg: RunConfig, bundle: ReportBundle):
 def _ellipsoid_spectrum(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
     count = cfg.params.get("count")
+    if count is not None:
+        count = int(count)
+        if count < 1:
+            raise UsageError(f"spectrum count must be at least 1, got {count}")
     values = el.spectrum_values(
         e,
-        L=None if count else float(cfg.params.get("L", 10.0)),
-        count=int(count) if count else None,
+        L=None if count is not None else float(cfg.params.get("L", 10.0)),
+        count=count,
         formal=bool(cfg.params.get("formal", False)),
         cap=int(cfg.params.get("cap", 10**7)),
     )
@@ -310,7 +318,7 @@ def _partitions(cfg: RunConfig, bundle: ReportBundle):
 def _score(cfg: RunConfig, bundle: ReportBundle):
     with open(cfg.params["input"]) as fh:
         doc = json.load(fh)
-    if "genus" in doc:
+    if isinstance(doc, dict) and "genus" in doc:
         curve = curve_from_json(doc)
         bundle.add_table(
             "score",

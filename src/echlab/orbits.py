@@ -415,6 +415,13 @@ def _num_to_json(x):
     return float(x)
 
 
+def _record(d, what: str) -> dict:
+    """d itself when it is a JSON object; a StructuralError otherwise."""
+    if not isinstance(d, dict):
+        raise StructuralError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
 def _fraction_from_json(v: list) -> Fraction:
     if v[1] == 0:
         raise StructuralError(f"zero denominator in {v!r}")
@@ -439,7 +446,7 @@ def orbit_to_json(o: SimpleOrbit) -> dict:
 
 
 def orbit_from_json(d: dict) -> SimpleOrbit:
-    theta = d["theta"]
+    theta = _record(d, "orbit record")["theta"]
     rot = Rotation.rational(_fraction_from_json(theta)) if isinstance(theta, list) else Rotation.real(theta)
     return SimpleOrbit(
         label=d["label"],
@@ -458,7 +465,7 @@ def orbit_set_to_json(alpha: OrbitSet) -> dict:
 
 
 def orbit_set_from_json(d: dict) -> OrbitSet:
-    pool = {o["label"]: orbit_from_json(o) for o in d["orbits"]}
+    pool = {o.label: o for o in map(orbit_from_json, _record(d, "orbit-set document")["orbits"])}
     return OrbitSet((pool[label], mult) for label, mult in d["entries"])
 
 
@@ -483,13 +490,12 @@ def curve_to_json(c: CurveData) -> dict:
 
 def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> CurveData:
     local = dict(pool or {})
-    for o in d.get("orbits", []):
-        local.setdefault(o["label"], orbit_from_json(o))
+    for orbit in map(orbit_from_json, _record(d, "curve record").get("orbits", [])):
+        local.setdefault(orbit.label, orbit)
 
     def ends(key):
-        return tuple(
-            CurveEnds(e["orbit"], tuple(e["multiplicities"]), e["c0"]) for e in d.get(key, [])
-        )
+        records = [_record(e, "ends record") for e in d.get(key, [])]
+        return tuple(CurveEnds(e["orbit"], tuple(e["multiplicities"]), e["c0"]) for e in records)
 
     return CurveData(
         genus=d["genus"],
@@ -512,5 +518,5 @@ def tower_to_json(t: Tower) -> dict:
 
 
 def tower_from_json(d: dict) -> Tower:
-    pool = {o["label"]: orbit_from_json(o) for o in d["orbits"]}
+    pool = {o.label: o for o in map(orbit_from_json, _record(d, "tower document")["orbits"])}
     return Tower([curve_from_json(c, pool) for c in d["curves"]])

@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .orbits import (
@@ -171,6 +171,40 @@ def threshold_multiplicity(theta: Rotation, m: int) -> bool:
     return m * fr >= 2 and m * (1 - fr) >= 2
 
 
+def _side_configs(theta_list: Sequence[Rotation], max_mult: int, two_orbits: bool, positive: bool):
+    """Every side configuration, in scan order, with its summed side terms.
+
+    Yields (x, y, t, number of ends, options): first each single option, per
+    rotation, multiplicity and end option; then, when ``two_orbits``, each pair
+    of options at two distinct rotation indices.  An option adds
+    (e + cz, n + cze, s + 3e) on the positive side and (e - cz, n - cze, 3e - s)
+    on the negative, in the notation of ``score_falsification_scan``.
+    """
+    sign = 1 if positive else -1
+    per_theta = []
+    for idx, theta in enumerate(theta_list):
+        opts = []
+        for m in range(2, max_mult + 1):
+            if not threshold_multiplicity(theta, m):
+                continue
+            cover = cover_indices(theta, m)
+            for ends, m0 in _end_options(theta, m, positive):
+                n = len(ends)
+                e = 2 * n - (0 if m0 > 0 else 1)
+                cz_ends = sum(cz_index(theta, k) for k in ends)
+                terms = (e + sign * cover.cz, n + sign * cz_ends, 3 * e + sign * cover.score, n)
+                opts.append((terms, (idx, m, ends, m0)))
+        per_theta.append(opts)
+    for opts in per_theta:
+        for terms, opt in opts:
+            yield (*terms, [opt])
+    if two_orbits:
+        for i1, i2 in combinations(range(len(theta_list)), 2):
+            for (x1, y1, t1, n1), o1 in per_theta[i1]:
+                for (x2, y2, t2, n2), o2 in per_theta[i2]:
+                    yield x1 + x2, y1 + y2, t1 + t2, n1 + n2, [o1, o2]
+
+
 def score_falsification_scan(
     thetas: Optional[Sequence[Rotation]] = None,
     max_mult: int = 12,
@@ -182,6 +216,24 @@ def score_falsification_scan(
 
     Returns the census of scanned curves and any violating instances (the
     expected outcome is none; universality is not claimed).
+
+    The scan is a join over side groups, not a loop over every (positive,
+    negative, genus) triple: both index constraints and the total score split
+    into a positive-side plus a negative-side term.  For a side configuration
+    write s for its covers' score sum, cz for their CZ sum, n for its number
+    of ends, cze for the CZ sum over its ends and e for the sum of
+    2 * ends - [no C0 part] over its orbits; a suffix a / b marks the
+    positive / negative side.  With U indices required, a positive
+    configuration's group key is (ea + cza, na + czea, na == 1) and a negative
+    one's is (eb - czb, nb - czeb, nb == 1); a pair is admissible at genus g
+    when both first and both second components sum to 4 - 2g.  Without them
+    the key is the n == 1 flag alone.  In both modes the genus-0 pair of
+    single-end sides (a cylinder) is excluded.  The partial scores are
+    tp = sa + 3ea and tn = 3eb - sb, and T = tp + tn + 6g - 12, so each group
+    keeps its size and least partial score.  Violating instances are listed
+    only when the least T is negative, from the group pairs whose least T is;
+    they come in scan order (positive configuration, negative configuration,
+    genus).
     """
     if thetas is None:
         thetas = [
@@ -193,64 +245,63 @@ def score_falsification_scan(
             Rotation.rational(9, 13),
         ]
     theta_list = list(thetas)
-    covers = {}  # (theta index, m) -> Cover of the m-fold cover
+    two_orbits = max_orbits_per_side >= 2
 
-    def side_summaries(positive: bool):
-        per_theta = []
-        for idx, theta in enumerate(theta_list):
-            opts = []
-            for m in range(2, max_mult + 1):
-                if not threshold_multiplicity(theta, m):
-                    continue
-                covers[idx, m] = cover_indices(theta, m)
-                for ends, m0 in _end_options(theta, m, positive):
-                    opts.append((idx, m, ends, m0))
-            per_theta.append(opts)
-        configs = [[o] for opts in per_theta for o in opts]
-        if max_orbits_per_side >= 2:
-            for i1, i2 in combinations_with_replacement(range(len(theta_list)), 2):
-                if i1 == i2:
-                    continue
-                for o1 in per_theta[i1]:
-                    for o2 in per_theta[i2]:
-                        configs.append([o1, o2])
-        out = []
-        for cfg in configs:
-            s = e = ends = cz = cz_ends = 0
-            for idx, m, end_mults, m0 in cfg:
-                cover = covers[idx, m]
-                s += cover.score
-                e += 2 * len(end_mults) - (0 if m0 > 0 else 1)
-                ends += len(end_mults)
-                cz += cover.cz
-                cz_ends += sum(cz_index(theta_list[idx], k) for k in end_mults)
-            out.append((s, e, ends, cz, cz_ends, cfg))
-        return out
+    def key(x, y, n):
+        return (x, y, n == 1) if require_u_indices else (n == 1,)
 
-    pos_side = side_summaries(True)
-    neg_side = side_summaries(False)
+    def partners(kp, genus):
+        """The negative-side keys that join kp at this genus."""
+        flags = (False,) if genus == 0 and kp[-1] else (False, True)
+        if not require_u_indices:
+            return [(flag,) for flag in flags]
+        target = 4 - 2 * genus
+        return [(target - kp[0], target - kp[1], flag) for flag in flags]
+
+    def side_groups(positive: bool) -> dict:
+        groups = {}  # key -> [configurations, least partial score]
+        for x, y, t, n, _ in _side_configs(theta_list, max_mult, two_orbits, positive):
+            group = groups.setdefault(key(x, y, n), [0, t])
+            group[0] += 1
+            group[1] = min(group[1], t)
+        return groups
+
+    pos_groups = side_groups(True)
+    neg_groups = side_groups(False)
     scanned = 0
-    violations = []
     min_score = math.inf
-    for sa, ea, na, cza, czea, pcfg in pos_side:
-        for sb, eb, nb, czb, czeb, ncfg in neg_side:
-            for genus in genus_range:
-                if genus == 0 and na == 1 and nb == 1:
-                    continue
-                j0 = -2 + 2 * genus + ea + eb
-                if require_u_indices:
-                    if j0 + cza - czb != 2:
+    for kp, (cp, tp) in pos_groups.items():
+        for genus in genus_range:
+            for kn in partners(kp, genus):
+                if kn in neg_groups:
+                    cn, tn = neg_groups[kn]
+                    scanned += cp * cn
+                    min_score = min(min_score, tp + tn + 6 * genus - 12)
+
+    violations = 0
+    listed: List[dict] = []
+    if min_score < 0:
+        neg_members = {}  # key -> [(scan position, partial score, configuration)]
+        for i, (x, y, t, n, cfg) in enumerate(_side_configs(theta_list, max_mult, two_orbits, False)):
+            neg_members.setdefault(key(x, y, n), []).append((i, t, cfg))
+        for x, y, tp, n, pcfg in _side_configs(theta_list, max_mult, two_orbits, True):
+            kp = key(x, y, n)
+            hits = []
+            for gi, genus in enumerate(genus_range):
+                offset = tp + 6 * genus - 12
+                for kn in partners(kp, genus):
+                    if kn not in neg_members or offset + neg_groups[kn][1] >= 0:
                         continue
-                    if -(2 - 2 * genus - (na + nb)) + czea - czeb != 2:
-                        continue
-                scanned += 1
-                t = sa - sb + 3 * (j0 - 2)
-                min_score = min(min_score, t)
-                if t < 0:
-                    violations.append({"genus": genus, "positive": pcfg, "negative": ncfg, "T": t})
+                    hits.extend((i, gi, genus, ncfg, offset + tn)
+                                for i, tn, ncfg in neg_members[kn] if offset + tn < 0)
+            violations += len(hits)
+            if len(listed) < 10:
+                hits.sort(key=lambda h: h[:2])
+                listed.extend({"genus": genus, "positive": pcfg, "negative": ncfg, "T": t}
+                              for _, _, genus, ncfg, t in hits[:10 - len(listed)])
     return {
         "scanned": scanned,
-        "violations": len(violations),
-        "violating_curves": violations[:10],
+        "violations": violations,
+        "violating_curves": listed,
         "min_total_score": min_score if scanned else None,
     }

@@ -87,13 +87,40 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
         (["partitions", "--theta", "0.5", "--m", "2"],
          "error: degenerate rotation at multiplicity 2: m*theta = 1.0 is within 1e-12 of an "
          "integer; pass an exact rational p/q\n"),
+        (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--count", "0"],
+         "error: spectrum count must be at least 1, got 0"),
     ]
+    for value in ("inf", "1e400", "sqrtinf", "nan"):
+        cases.append((["ellipsoid", "census", "--a", value, "--b", "2"],
+                      f"error: echlab ellipsoid census: argument --a: invalid parse_number value: '{value}'"))
     for argv, message in cases:
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(message) and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_wrong_shape_json_exits_2(tmp_path, capsys):
+    # a document or a nested record that is not a JSON object is a schema error
+    docs = {"list": [1], "string": "abc", "number": 5}
+    nested = {
+        "orbit": {"orbits": [1], "entries": []},
+        "curve": {"orbits": [], "curves": [7]},
+        "ends": {"genus": 0, "alpha": [], "beta": [], "positive_ends": [3]},
+    }
+    cases = [(command, name, doc, f"{kind} document must be a JSON object, got {type(doc).__name__}")
+             for command, kind in (("score", "orbit-set"), ("tower", "tower"))
+             for name, doc in docs.items()]
+    cases += [("score", "orbit", nested["orbit"], "orbit record must be a JSON object, got int"),
+              ("tower", "curve", nested["curve"], "curve record must be a JSON object, got int"),
+              ("score", "ends", nested["ends"], "ends record must be a JSON object, got int")]
+    for command, name, doc, message in cases:
+        path = tmp_path / f"{command}-{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", (command, name)
 
 
 def test_tol_and_cap_only_on_the_subcommands_that_read_them(tmp_path, capsys):
