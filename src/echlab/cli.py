@@ -86,12 +86,13 @@ def _parse_fraction(text: str) -> Fraction:
 def parse_rotation(text: str) -> Rotation:
     if "/" in text:
         return Rotation.rational(_parse_fraction(text))
-    if text.startswith("sqrt"):
-        return Rotation.real(math.sqrt(float(text[4:])))
     try:
         return Rotation.rational(int(text))
     except ValueError:
-        return Rotation.real(float(text))
+        value = math.sqrt(float(text[4:])) if text.startswith("sqrt") else float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"non-finite number {text!r}")
+    return Rotation.real(value)
 
 
 def _load_profile(path: str) -> twist.TwistProfile:

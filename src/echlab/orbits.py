@@ -422,6 +422,22 @@ def _record(d, what: str) -> dict:
     return d
 
 
+def _array(d: dict, key: str, optional: bool = False) -> list:
+    """d[key] when it is a JSON array (absent and optional: empty); a StructuralError otherwise."""
+    v = d.get(key, []) if optional else d[key]
+    if not isinstance(v, list):
+        raise StructuralError(f"{key} must be a JSON array, got {type(v).__name__}")
+    return v
+
+
+def _entries(d: dict, key: str) -> list:
+    """d[key] when it is a JSON array of [label, multiplicity] pairs, multiplicities integers."""
+    for e in _array(d, key):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[1], int)):
+            raise StructuralError(f"{key} entry must be a [label, multiplicity] pair, got {e!r}")
+    return d[key]
+
+
 def _fraction_from_json(v: list) -> Fraction:
     if v[1] == 0:
         raise StructuralError(f"zero denominator in {v!r}")
@@ -465,8 +481,8 @@ def orbit_set_to_json(alpha: OrbitSet) -> dict:
 
 
 def orbit_set_from_json(d: dict) -> OrbitSet:
-    pool = {o.label: o for o in map(orbit_from_json, _record(d, "orbit-set document")["orbits"])}
-    return OrbitSet((pool[label], mult) for label, mult in d["entries"])
+    pool = {o.label: o for o in map(orbit_from_json, _array(_record(d, "orbit-set document"), "orbits"))}
+    return OrbitSet((pool[label], mult) for label, mult in _entries(d, "entries"))
 
 
 def curve_to_json(c: CurveData) -> dict:
@@ -490,19 +506,19 @@ def curve_to_json(c: CurveData) -> dict:
 
 def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> CurveData:
     local = dict(pool or {})
-    for orbit in map(orbit_from_json, _record(d, "curve record").get("orbits", [])):
+    for orbit in map(orbit_from_json, _array(_record(d, "curve record"), "orbits", optional=True)):
         local.setdefault(orbit.label, orbit)
 
     def ends(key):
-        records = [_record(e, "ends record") for e in d.get(key, [])]
-        return tuple(CurveEnds(e["orbit"], tuple(e["multiplicities"]), e["c0"]) for e in records)
+        records = [_record(e, "ends record") for e in _array(d, key, optional=True)]
+        return tuple(CurveEnds(e["orbit"], tuple(_array(e, "multiplicities")), e["c0"]) for e in records)
 
     return CurveData(
         genus=d["genus"],
         positive_ends=ends("positive_ends"),
         negative_ends=ends("negative_ends"),
-        alpha=OrbitSet((local[l], m) for l, m in d["alpha"]),
-        beta=OrbitSet((local[l], m) for l, m in d["beta"]),
+        alpha=OrbitSet((local[l], m) for l, m in _entries(d, "alpha")),
+        beta=OrbitSet((local[l], m) for l, m in _entries(d, "beta")),
         c_tau=d.get("c_tau", 0),
     )
 
@@ -518,5 +534,5 @@ def tower_to_json(t: Tower) -> dict:
 
 
 def tower_from_json(d: dict) -> Tower:
-    pool = {o.label: o for o in map(orbit_from_json, _record(d, "tower document")["orbits"])}
-    return Tower([curve_from_json(c, pool) for c in d["curves"]])
+    pool = {o.label: o for o in map(orbit_from_json, _array(_record(d, "tower document"), "orbits"))}
+    return Tower([curve_from_json(c, pool) for c in _array(d, "curves")])

@@ -6,12 +6,14 @@ representation tag.  The index and partition constructions are stated for
 nondegenerate orbits, so the floating lane has one guard, ``_near_integer``
 with the fixed threshold ``REAL_GUARD`` = 1e-12: a real multiple m*theta that
 close to an integer is degenerate, and floor/ceil refuse it with
-DegenerateRotationError.  Exact rationals need no guard.
+DegenerateRotationError.  The partitions apply the same test to every cover
+k <= m in one loop, ``_check_covers``.  Exact rationals need no guard.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +31,11 @@ class DegenerateRotationError(ValueError):
 def _near_integer(x: float) -> bool:
     """The real lane's nondegeneracy guard: x within REAL_GUARD of an integer."""
     return abs(x - round(x)) <= REAL_GUARD
+
+
+def _degenerate(m: int, x: float) -> DegenerateRotationError:
+    return DegenerateRotationError(f"degenerate rotation at multiplicity {m}: m*theta = {x!r} is within "
+                                   f"{REAL_GUARD} of an integer; pass an exact rational p/q")
 
 
 @dataclass(frozen=True)
@@ -68,16 +75,19 @@ class Rotation:
             return self.value.numerator * m // self.value.denominator
         x = self.value * m
         if _near_integer(x):
-            raise DegenerateRotationError(
-                f"degenerate rotation at multiplicity {m}: m*theta = {x!r} is within "
-                f"{REAL_GUARD} of an integer; pass an exact rational p/q"
-            )
+            raise _degenerate(m, x)
         return math.floor(x)
 
     def scaled_ceil(self, m: int) -> int:
         if self.exact:
             return -(-self.value.numerator * m // self.value.denominator)
         return self.scaled_floor(m) + 1
+
+    def ratio(self) -> tuple:
+        """(p, q) with theta = p/q exactly, q > 0: a real's float as its binary ratio."""
+        if self.exact:
+            return self.value.numerator, self.value.denominator
+        return self.value.as_integer_ratio()
 
     def is_integral(self) -> bool:
         if self.exact:
@@ -89,10 +99,6 @@ class Rotation:
         if self.exact:
             return self.value.denominator == 2
         return _near_integer(self.value - 0.5)
-
-    def fractional_part(self) -> Union[Fraction, float]:
-        """{theta} in [0, 1), consistent for negative theta."""
-        return self.value - math.floor(self.value)
 
 
 @dataclass(frozen=True)
@@ -116,14 +122,8 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __contains__(self, k: int) -> bool:
-        return k in self.parts
-
     def as_multiset(self) -> dict:
-        out: dict = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        return dict(Counter(self.parts))
 
     def disjoint_from(self, other: "Partition") -> bool:
         return not (set(self.parts) & set(other.parts))
@@ -142,23 +142,13 @@ def cz_index(theta, m: int) -> int:
     return rot.scaled_floor(m) + rot.scaled_ceil(m)
 
 
-def _column_heights(rot: Rotation, m: int, upper: bool) -> list:
-    """Heights floor(x*theta) (upper path) or ceil(x*theta) (lower path), x = 0..m."""
-    if upper:
-        return [0] + [rot.scaled_floor(x) for x in range(1, m + 1)]
-    return [0] + [rot.scaled_ceil(x) for x in range(1, m + 1)]
-
-
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _hull_path(points: list, upper: bool) -> list:
     """Monotone-chain upper (concave) or lower (convex) boundary through sorted points."""
     hull: list = []
     for p in points:
         while len(hull) >= 2:
-            c = _cross(hull[-2], hull[-1], p)
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            c = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
             if (upper and c >= 0) or (not upper and c <= 0):
                 hull.pop()
             else:
@@ -167,22 +157,55 @@ def _hull_path(points: list, upper: bool) -> list:
     return hull
 
 
-def _parts_from_vertices(vertices: list) -> list:
-    """Horizontal displacements, splitting each hull edge at its interior lattice points."""
-    parts = []
-    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        g = math.gcd(dx, abs(dy))
-        parts.extend([dx // g] * g)
-    return parts
+def _lower_denominator(a: int, b: int, n: int) -> int:
+    """Denominator of the largest fraction <= a/b (0 <= a < b) with denominator <= n.
+
+    Stern-Brocot descent by runs between Farey neighbours lo = p0/q0 <= a/b < hi = p1/q1;
+    it stops when lo is a/b or the mediant's denominator passes n.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while q0 + q1 <= n:
+        below = a * q0 - b * p0  # b*q0*(a/b - lo)
+        if not below:
+            break
+        above = b * p1 - a * q1  # b*q1*(hi - a/b), > 0
+        k = below // above
+        if k:
+            k = min(k, (n - q0) // q1)
+            p0, q0 = p0 + k * p1, q0 + k * q1
+        else:
+            k = min((above - 1) // below, (n - q1) // q0)
+            p1, q1 = p1 + k * p0, q1 + k * q0
+    return q0
+
+
+def _greedy_parts(a: int, b: int, m: int) -> tuple:
+    """Parts of the maximal concave lattice path under y = (a/b)x over width m, largest first."""
+    parts: list = []
+    while m:
+        d = _lower_denominator(a, b, m)
+        parts += [d] * (m // d)
+        m %= d
+    return tuple(parts)
+
+
+def _check_covers(theta: float, m: int) -> None:
+    """Raise for the least cover k <= m with ``_near_integer(theta * k)``, inlined:
+    t*k is |theta*k| exactly, and for f = t*k % 1.0 its distance to Z is min(f, 1 - f)."""
+    t = -theta if theta < 0 else theta
+    for k in range(1, m + 1):
+        f = t * k % 1.0
+        if f <= REAL_GUARD or 1.0 - f <= REAL_GUARD:
+            raise _degenerate(k, theta * k)
 
 
 @lru_cache(maxsize=65536)
-def _partition_cached(rot: Rotation, m: int, upper: bool) -> Partition:
-    heights = _column_heights(rot, m, upper=upper)
-    pts = [(x, h) for x, h in enumerate(heights)]
-    verts = _hull_path(pts, upper=upper)
-    return Partition(tuple(_parts_from_vertices(verts)))
+def _partitions(rot: Rotation, m: int) -> tuple:
+    """(p+, p-) for (theta, m), both from theta's exact ratio p/q."""
+    if not rot.exact:
+        _check_covers(rot.value, m)
+    p, q = rot.ratio()
+    return Partition(_greedy_parts(p % q, q, m)), Partition(_greedy_parts(-p % q, q, m))
 
 
 def partition_positive(theta, m: int) -> Partition:
@@ -190,53 +213,29 @@ def partition_positive(theta, m: int) -> Partition:
     concave lattice path below y = theta*x from (0,0) to (m, floor(m*theta)).
 
     Every lattice point on the hull boundary counts as a vertex, so collinear
-    unit steps yield parts of size 1.
+    steps yield equal parts.  Greedy over the best lower approximations of
+    {theta}: with d the denominator of the largest fraction <= {theta} whose
+    denominator is <= the width w left, emit w // d parts d and keep w mod d.
+    The vertex (d, floor(d*theta)) has the least residual over x <= w, so
+    floor((d+x)*theta) = floor(d*theta) + floor(x*theta) and the rest of the
+    path is the same path, translated.  A real theta uses its float's exact
+    binary ratio once every cover k <= m passes the real-lane guard.  The
+    monotone-chain and staircase constructions live on as test oracles.
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
-    return _partition_cached(Rotation.coerce(theta), m, True)
+    return _partitions(Rotation.coerce(theta), m)[0]
 
 
 def partition_negative(theta, m: int) -> Partition:
     """Negative partition p-_theta(m): horizontal displacements of the lower
     convex-hull boundary of lattice points on or above y = theta*x, from (0,0)
-    to (m, ceil(m*theta))."""
+    to (m, ceil(m*theta)).  As ceil(x*theta) = -floor(-x*theta), this is
+    p+_{-theta}(m), built from the best lower approximations of {-theta}.
+    """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
-    return _partition_cached(Rotation.coerce(theta), m, False)
-
-
-def staircase_partition(theta, m: int, positive: bool = True) -> Partition:
-    """Independent O(m^2) greedy-staircase oracle for p+/p-.
-
-    From each reached lattice point, take the step of maximal (positive case,
-    staying below the line) or minimal (negative case, staying above) slope;
-    ties resolve to the shortest step, which records collinear lattice points
-    as vertices.  Used only to cross-check the convex-hull construction.
-    """
-    rot = Rotation.coerce(theta)
-    heights = _column_heights(rot, m, upper=positive)
-    parts = []
-    x, y = 0, 0
-    while x < m:
-        best = None  # (dy, dx) slope comparison via cross-multiplication
-        for nx in range(x + 1, m + 1):
-            dx, dy = nx - x, heights[nx] - y
-            if best is None:
-                best = (dx, dy)
-                continue
-            bdx, bdy = best
-            c = dy * bdx - bdy * dx
-            if positive:
-                take = c > 0 or (c == 0 and dx < bdx)
-            else:
-                take = c < 0 or (c == 0 and dx < bdx)
-            if take:
-                best = (dx, dy)
-        dx, dy = best
-        parts.append(dx)
-        x, y = x + dx, y + dy
-    return Partition(tuple(parts))
+    return _partitions(Rotation.coerce(theta), m)[1]
 
 
 def partition_properties(theta, m: int) -> dict:
@@ -262,21 +261,18 @@ def partition_properties(theta, m: int) -> dict:
         raise ValueError("integral rotation: handled by the hyperbolic-case clauses instead")
     pp = partition_positive(rot, m)
     pn = partition_negative(rot, m)
-    frac = rot.fractional_part()
+    p, q = rot.ratio()
+    a = p % q  # {theta} = a/q
     if rot.exact:
-        covers_nondegenerate = m < rot.value.denominator
-        top_nondegenerate = (rot.value * m).denominator > 1
+        covers_nondegenerate = m < q
+        top_nondegenerate = m * a % q != 0
     else:
         # the partitions passed the real-lane guard at every cover k <= m
         covers_nondegenerate = top_nondegenerate = True
     item1 = pp.disjoint_from(pn) if covers_nondegenerate else None
     item2 = ((1 in pp) != (1 in pn)) if covers_nondegenerate else None
-    if top_nondegenerate:
-        small = (m * frac < 2) or (m * (1 - frac) < 2)
-        item3 = (len(pp) + len(pn) > 3) or small
-    else:
-        item3 = None
-    verdicts = [v for v in (item1, item2, item3) if v is not None]
+    small = m * a < 2 * q or m * (q - a) < 2 * q
+    item3 = (len(pp) + len(pn) > 3 or small) if top_nondegenerate else None
     return {
         "theta": rot,
         "m": m,
@@ -287,21 +283,5 @@ def partition_properties(theta, m: int) -> dict:
         "disjoint": item1,
         "one_in_exactly_one": item2,
         "count_bound": item3,
-        "all_pass": all(verdicts),
+        "all_pass": all(v is not False for v in (item1, item2, item3)),
     }
-
-
-def hyperbolic_expectation(theta, m: int) -> Partition:
-    """Expected partition at integral / half-integral rotation (either sign of end).
-
-    Integral theta: m parts of size 1.  Half-integral theta: m/2 twos when m
-    is even, else floor(m/2) twos and a single one.
-    """
-    rot = Rotation.coerce(theta)
-    if rot.is_integral():
-        return Partition((1,) * m)
-    if rot.is_half_integral():
-        if m % 2 == 0:
-            return Partition((2,) * (m // 2))
-        return Partition((2,) * (m // 2) + (1,))
-    raise ValueError("expected integral or half-integral rotation")

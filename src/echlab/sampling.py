@@ -165,10 +165,11 @@ def threshold_multiplicity(theta: Rotation, m: int) -> bool:
     """
     if theta.is_integral() or theta.is_half_integral():
         return False
-    if theta.exact and m >= theta.value.denominator:
+    p, q = theta.ratio()
+    if theta.exact and m >= q:
         return False
-    fr = theta.fractional_part()
-    return m * fr >= 2 and m * (1 - fr) >= 2
+    a = p % q  # {theta} = a/q
+    return m * a >= 2 * q and m * (q - a) >= 2 * q
 
 
 def _side_configs(theta_list: Sequence[Rotation], max_mult: int, two_orbits: bool, positive: bool):

@@ -33,7 +33,6 @@ from echlab.pfh import (
 from echlab.rotations import (
     Rotation,
     cz_index,
-    hyperbolic_expectation,
     partition_negative,
     partition_positive,
     partition_properties,
@@ -48,6 +47,8 @@ from echlab.twist import (
     zero_profile,
 )
 from echlab.cli import RunConfig, run
+
+from oracles import hyperbolic_expectation
 
 SQRT2 = math.sqrt(2)
 TWO_PI = 2 * math.pi

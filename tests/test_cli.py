@@ -93,6 +93,7 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
     for value in ("inf", "1e400", "sqrtinf", "nan"):
         cases.append((["ellipsoid", "census", "--a", value, "--b", "2"],
                       f"error: echlab ellipsoid census: argument --a: invalid parse_number value: '{value}'"))
+        cases.append((["partitions", "--theta", value, "--m", "2"], f"error: non-finite number '{value}'"))
     for argv, message in cases:
         code = main(argv)
         err = capsys.readouterr().err
@@ -121,6 +122,32 @@ def test_wrong_shape_json_exits_2(tmp_path, capsys):
         assert main([command, "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message}\n", (command, name)
+
+
+_CURVE = {"genus": 0, "orbits": [{"label": "a", "action": [1, 2], "theta": [1, 5], "kind": "elliptic"}],
+          "alpha": [["a", 1]], "beta": []}
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("score", {"orbits": 5, "entries": []}, "orbits must be a JSON array, got int"),
+    ("score", {"orbits": [], "entries": 5}, "entries must be a JSON array, got int"),
+    ("score", {"orbits": [], "entries": [5]}, "entries entry must be a [label, multiplicity] pair, got 5"),
+    ("score", {"orbits": [], "entries": [["a", "b"]]},
+     "entries entry must be a [label, multiplicity] pair, got ['a', 'b']"),
+    ("score", dict(_CURVE, alpha=5), "alpha must be a JSON array, got int"),
+    ("score", dict(_CURVE, beta=[["a"]]), "beta entry must be a [label, multiplicity] pair, got ['a']"),
+    ("score", dict(_CURVE, orbits={}), "orbits must be a JSON array, got dict"),
+    ("score", dict(_CURVE, positive_ends=5), "positive_ends must be a JSON array, got int"),
+    ("score", dict(_CURVE, positive_ends=[{"orbit": "a", "multiplicities": 1, "c0": False}]),
+     "multiplicities must be a JSON array, got int"),
+    ("tower", {"orbits": 5, "curves": []}, "orbits must be a JSON array, got int"),
+    ("tower", {"orbits": [], "curves": 5}, "curves must be a JSON array, got int"),
+])
+def test_mistyped_list_fields_exit_2(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_tol_and_cap_only_on_the_subcommands_that_read_them(tmp_path, capsys):

@@ -15,12 +15,12 @@ from echlab.rotations import (
     Partition,
     Rotation,
     cz_index,
-    hyperbolic_expectation,
     partition_negative,
     partition_positive,
     partition_properties,
-    staircase_partition,
 )
+
+from oracles import hull_partition, hyperbolic_expectation, staircase_partition
 
 
 def test_cz_examples():
@@ -158,6 +158,39 @@ def test_hull_agrees_with_staircase_oracle_irrationals():
         for positive in (True, False):
             build = partition_positive if positive else partition_negative
             assert build(theta, m) == staircase_partition(theta, m, positive)
+
+
+def _outcome(build, theta, m, *args):
+    """A partition, or the message of the DegenerateRotationError it raises."""
+    try:
+        return build(theta, m, *args)
+    except DegenerateRotationError as exc:
+        return str(exc)
+
+
+def _assert_matches_oracles(theta, m):
+    for positive, build in ((True, partition_positive), (False, partition_negative)):
+        got = _outcome(build, theta, m)
+        assert got == _outcome(hull_partition, theta, m, positive), (theta, m, positive)
+        if m <= 120:
+            assert got == _outcome(staircase_partition, theta, m, positive), (theta, m, positive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 1000), st.integers(-4000, 4000), st.integers(1, 500))
+def test_best_approximation_partitions_match_oracles_rationals(q, p, m):
+    _assert_matches_oracles(Fraction(p, q), m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 1000), st.integers(-4000, 4000), st.integers(1, 500), st.integers(1, 500),
+       st.floats(0.25, 4.0), st.sampled_from((1, -1)))
+def test_best_approximation_partitions_match_oracles_near_the_guard(q, p, m, k, scale, sign):
+    # theta = p/q + delta, with delta * x about REAL_GUARD at a cover x = k*q,
+    # so the guard fires for some draws and just misses for others
+    x = q * max(1, min(k, m // q))
+    theta = Rotation.real(p / q + sign * scale * REAL_GUARD / x)
+    _assert_matches_oracles(theta, m)
 
 
 def test_partition_properties_examples():
