@@ -3,7 +3,10 @@
 Exit codes: 0 when every verdict passes, 1 when any fails, 2 on usage,
 input, schema or cap errors: ``main`` turns every ValueError (argument
 errors included), OSError, missing key and generator or spectrum cap error
-into one ``error:`` line.
+into one ``error:`` line.  A chain complex that fails its calibration
+(``pfh.CalibrationError``) or a Calabi value that fails its Fubini
+self-check (``twist.FubiniCheckError``) ends the command with a failed
+verdict of that name, the message as its detail.
 All randomized sweeps consume only the seeded generator, so identical
 configurations produce byte-identical output bundles.
 """
@@ -125,7 +128,11 @@ def run(config: RunConfig) -> ReportBundle:
     if config.command not in handlers:
         raise UsageError(f"unknown subcommand {config.command!r}")
     bundle = ReportBundle(manifest=base_manifest({"command": config.command, **config.params, "seed": config.seed}))
-    handlers[config.command](config, bundle)
+    try:
+        handlers[config.command](config, bundle)
+    except (pfh.CalibrationError, twist.FubiniCheckError) as ex:
+        # a failed consistency check of the model is a verdict, not a crash
+        bundle.add_verdict(type(ex).__name__, False, detail=str(ex))
     return bundle
 
 

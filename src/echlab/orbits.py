@@ -430,15 +430,29 @@ def _array(d: dict, key: str, optional: bool = False) -> list:
     return v
 
 
+def _is_int(v) -> bool:
+    """Whether v is a JSON integer (true and false are not)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(v, key: str) -> int:
+    """v, the value of field ``key``, when it is a JSON integer; a StructuralError otherwise."""
+    if not _is_int(v):
+        raise StructuralError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
 def _entries(d: dict, key: str) -> list:
     """d[key] when it is a JSON array of [label, multiplicity] pairs, multiplicities integers."""
     for e in _array(d, key):
-        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[1], int)):
+        if not (isinstance(e, list) and len(e) == 2 and _is_int(e[1])):
             raise StructuralError(f"{key} entry must be a [label, multiplicity] pair, got {e!r}")
     return d[key]
 
 
 def _fraction_from_json(v: list) -> Fraction:
+    if not (len(v) == 2 and _is_int(v[0]) and _is_int(v[1])):
+        raise StructuralError(f"fraction must be a [numerator, denominator] pair of integers, got {v!r}")
     if v[1] == 0:
         raise StructuralError(f"zero denominator in {v!r}")
     return Fraction(v[0], v[1])
@@ -469,7 +483,7 @@ def orbit_from_json(d: dict) -> SimpleOrbit:
         action=_num_from_json(d["action"]),
         theta=rot,
         kind=d["kind"],
-        period=d.get("period", 1),
+        period=_integer(d.get("period", 1), "period"),
     )
 
 
@@ -514,12 +528,12 @@ def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> C
         return tuple(CurveEnds(e["orbit"], tuple(_array(e, "multiplicities")), e["c0"]) for e in records)
 
     return CurveData(
-        genus=d["genus"],
+        genus=_integer(d["genus"], "genus"),
         positive_ends=ends("positive_ends"),
         negative_ends=ends("negative_ends"),
         alpha=OrbitSet((local[l], m) for l, m in _entries(d, "alpha")),
         beta=OrbitSet((local[l], m) for l, m in _entries(d, "beta")),
-        c_tau=d.get("c_tau", 0),
+        c_tau=_integer(d.get("c_tau", 0), "c_tau"),
     )
 
 

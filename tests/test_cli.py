@@ -6,10 +6,11 @@ import os
 
 import pytest
 
+from echlab import pfh
 from echlab.cli import RunConfig, UsageError, main, parse_number, run
 from echlab.reporting import Table
 from echlab.svgplot import emit_svg
-from echlab.twist import linear_profile
+from echlab.twist import TwistProfile, linear_profile
 
 
 def test_parse_number():
@@ -148,6 +149,66 @@ def test_mistyped_list_fields_exit_2(tmp_path, capsys, command, doc, message):
     path.write_text(json.dumps(doc))
     assert main([command, "--input", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_ORBIT = _CURVE["orbits"][0]
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"orbits": [dict(_ORBIT, theta=[1])], "entries": [["a", 1]]},
+     "fraction must be a [numerator, denominator] pair of integers, got [1]"),
+    ({"orbits": [dict(_ORBIT, theta=["a", 5])], "entries": [["a", 1]]},
+     "fraction must be a [numerator, denominator] pair of integers, got ['a', 5]"),
+    ({"orbits": [dict(_ORBIT, action=[1, 2, 3])], "entries": [["a", 1]]},
+     "fraction must be a [numerator, denominator] pair of integers, got [1, 2, 3]"),
+    ({"orbits": [dict(_ORBIT, period="2")], "entries": [["a", 1]]}, "period must be an integer, got '2'"),
+    (dict(_CURVE, genus="x"), "genus must be an integer, got 'x'"),
+    (dict(_CURVE, genus=True), "genus must be an integer, got True"),
+    (dict(_CURVE, c_tau=1.5), "c_tau must be an integer, got 1.5"),
+    (dict(_CURVE, orbits=[dict(_ORBIT, period=1.0)]), "period must be an integer, got 1.0"),
+])
+def test_mistyped_number_fields_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["score", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sampled_profile_passes_the_fubini_check(tmp_path, capsys):
+    # adaptive quadrature without the breakpoints failed this profile's check
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"type": "samples", "r": [0, 0.1388, 0.6175, 1],
+                                "f": [8.714, 2.095, 1.267, 0.0177]}))
+    assert main(["twist", "calabi", "--profile", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_failed_checks_are_verdicts(tmp_path, capsys, monkeypatch):
+    profile = os.path.join(os.path.dirname(__file__), os.pardir, "profiles", "linear_cal.json")
+    closed_form = TwistProfile.calabi_closed_form
+    monkeypatch.setattr(TwistProfile, "calabi_closed_form", lambda f: closed_form(f) * (1 + 1e-8))
+
+    def miscalibrated(self, action_floor=0.0):
+        raise pfh.CalibrationError("rank pattern failure: injected")
+
+    monkeypatch.setattr(pfh.TwistComplex, "validate", miscalibrated)
+    cases = [(["twist", "calabi"], "FubiniCheckError", "Fubini self-check failed: "),
+             (["twist", "complex", "--d", "3"], "CalibrationError", "rank pattern failure: injected")]
+    for argv, name, detail in cases:
+        out = tmp_path / name
+        assert main(argv + ["--profile", profile, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"[FAIL] {name}: {detail}" in err and "Traceback" not in err
+        verdict = json.loads((out / "report.json").read_text())["verdicts"][name]
+        assert not verdict["pass"] and verdict["detail"].startswith(detail)
+
+    # only those two are verdicts: an unrelated arithmetic fault still propagates
+    def broken(self, action_floor=0.0):
+        raise ZeroDivisionError("unrelated")
+
+    monkeypatch.setattr(pfh.TwistComplex, "validate", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["twist", "complex", "--profile", profile, "--d", "3"])
 
 
 def test_tol_and_cap_only_on_the_subcommands_that_read_them(tmp_path, capsys):

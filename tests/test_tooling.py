@@ -2,6 +2,8 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -16,3 +18,22 @@ def test_traced_boundaries_resolve():
                for targets in spans.BOUNDARIES.values()
                for owner, attr in targets if not hasattr(owner, attr)]
     assert spans.BOUNDARIES and not missing
+
+
+def test_importing_echlab_loads_no_scipy():
+    # scipy is a test-only oracle: no echlab module may import it, at any depth
+    import echlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(echlab.__file__)))
+    code = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import echlab\n"
+        "names = [m.name for m in pkgutil.walk_packages(echlab.__path__, 'echlab.')]\n"
+        "assert 'echlab.cli' in names, names\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -4,9 +4,13 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from echlab.twist import (
+    FubiniCheckError,
+    MonotonicityError,
     PlateauError,
     TwistProfile,
     calabi,
@@ -20,6 +24,7 @@ from echlab.twist import (
     profile_from_samples,
     truncate_profile,
     zero_profile,
+    _hamiltonian_integral,
 )
 
 TWO_PI = 2 * math.pi
@@ -50,6 +55,63 @@ def test_calabi_fubini_self_check():
     assert abs(other - value) <= 1e-9 * abs(value)
 
 
+# the 4-sample profile on which adaptive quadrature without breakpoints
+# missed the closed form by 4e-6 relative
+REPRO_SAMPLES = ([0.0, 0.1388, 0.6175, 1.0], [8.714, 2.095, 1.267, 0.0177])
+
+
+def _oracle_profiles():
+    yield linear_profile(4.0, support_end=0.9)
+    yield linear_profile(2.2)
+    yield constant_profile(3.0)
+    yield constant_profile(1.5, support_end=0.6)
+    yield profile_from_samples(*REPRO_SAMPLES)
+    yield profile_from_samples([0.0, 0.3, 0.6, 0.85, 1.0], [5.9, 4.1, 1.7, 0.0, 0.0])
+    yield power_profile(-1)
+    yield power_profile(-2)
+    for i in (1, 2, 3, 5, 7, 10, 20, 50, 100, 200, 333, 500, 999, 1000):
+        yield truncate_profile(power_profile(-3), i)
+
+
+def test_hamiltonian_integral_matches_quad_oracle():
+    # scipy's adaptive quadrature, told the breakpoints and run to 1e-13, is
+    # the independent oracle for the per-segment tanh-sinh sum
+    for f in _oracle_profiles():
+        breakpoints = [seg.lo for seg in f.segments[1:]]
+        oracle, _ = quad(f.hamiltonian, 0.0, 1.0, points=breakpoints or None,
+                         epsabs=0.0, epsrel=1e-13, limit=500)
+        got = _hamiltonian_integral(f)
+        assert abs(got - oracle) <= 1e-11 * abs(oracle), f.name
+        assert calabi(f) == f.calabi_closed_form()
+
+
+def test_fubini_self_check_catches_a_perturbed_closed_form(monkeypatch):
+    closed_form = TwistProfile.calabi_closed_form
+    monkeypatch.setattr(TwistProfile, "calabi_closed_form", lambda f: closed_form(f) * (1 + 1e-8))
+    for f in _oracle_profiles():
+        with pytest.raises(FubiniCheckError, match="Fubini self-check failed"):
+            calabi(f)
+        assert calabi(f, self_check_tol=None) == closed_form(f) * (1 + 1e-8)
+
+
+@st.composite
+def sampled_profiles(draw):
+    """Monotone sampled profiles with 3 to 15 samples spanning [0, 1]."""
+    n = draw(st.integers(3, 15))
+    inner = draw(st.lists(st.integers(1, 9999), min_size=n - 2, max_size=n - 2, unique=True))
+    values = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    return [0.0] + sorted(k / 10000 for k in inner) + [1.0], sorted(values, reverse=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_profiles())
+@example(REPRO_SAMPLES)
+@example(([0.0, 0.7429, 0.743, 1.0], [6.329687602035006, 6.329687602035006, 0.0, 0.0]))
+def test_calabi_self_check_holds_on_sampled_profiles(samples):
+    f = profile_from_samples(*samples)
+    assert calabi(f) == f.calabi_closed_form()
+
+
 def test_calabi_additivity():
     f = linear_profile(3.0, support_end=0.8)
     g = constant_profile(1.5, support_end=0.6)
@@ -65,6 +127,16 @@ def test_hofer_norm_bound():
 def test_monotonicity_certificate():
     with pytest.raises(Exception):
         profile_from_samples([0.0, 0.5, 1.0], [1.0, 2.0, 0.0])
+
+
+def test_certificate_allows_rounding_where_a_steep_segment_reaches_zero():
+    # intercept + slope * r rounds to about -1e-10 and -7e-12 at the zero sample
+    for r, f in (([0.0, 0.30880888163698306, 1.0], [741255.017416256, 0.0, 0.0]),
+                 ([0.0, 0.7429, 0.743, 1.0], [6.329687602035006, 6.329687602035006, 0.0, 0.0])):
+        profile = profile_from_samples(r, f)
+        assert calabi(profile) == profile.calabi_closed_form()
+    with pytest.raises(MonotonicityError, match="negative twist angle"):
+        profile_from_samples([0.0, 0.5, 1.0], [1.0, 0.5, -1e-9])
 
 
 def test_census_linear_profile():
