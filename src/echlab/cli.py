@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every verdict passes, 1 when any fails, 2 on usage,
 input, schema or cap errors: ``main`` turns every ValueError (argument
-errors included), OSError, missing key and generator or spectrum cap error
-into one ``error:`` line.  A chain complex that fails its calibration
-(``pfh.CalibrationError``) or a Calabi value that fails its Fubini
+errors included), OSError, missing key, float overflow and generator or
+spectrum cap error into one ``error:`` line.  A chain complex that fails
+its calibration (``pfh.CalibrationError``) or a Calabi value that fails its Fubini
 self-check (``twist.FubiniCheckError``) ends the command with a failed
 verdict of that name, the message as its detail.
 All randomized sweeps consume only the seeded generator, so identical
@@ -87,15 +87,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def parse_rotation(text: str) -> Rotation:
-    if "/" in text:
-        return Rotation.rational(_parse_fraction(text))
+    """An integer or a fraction 'p/q' as an exact rotation, any other number as a real one."""
     try:
         return Rotation.rational(int(text))
     except ValueError:
-        value = math.sqrt(float(text[4:])) if text.startswith("sqrt") else float(text)
-    if not math.isfinite(value):
-        raise UsageError(f"non-finite number {text!r}")
-    return Rotation.real(value)
+        return Rotation.coerce(parse_number(text))
 
 
 def _load_profile(path: str) -> twist.TwistProfile:
@@ -458,16 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", type=parse_number, required=True)
         p.add_argument("--b", type=parse_number, required=True)
         if name == "census":
-            p.add_argument("--L", type=float, default=10.0)
+            p.add_argument("--L", type=parse_number, default=10.0)
         if name == "spectrum":
-            p.add_argument("--L", type=float, default=None)
+            p.add_argument("--L", type=parse_number, default=None)
             p.add_argument("--count", type=int, default=None)
             p.add_argument("--formal", action="store_true")
             p.add_argument("--cap", type=int, default=None)
         if name == "weyl":
             p.add_argument("--kmax", type=int, default=10**5)
             p.add_argument("--formal", action="store_true")
-            p.add_argument("--tol", type=float, default=None)
+            p.add_argument("--tol", type=parse_number, default=None)
         if name == "return-map":
             p.add_argument("--points", type=int, default=100)
 
@@ -501,6 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_flags(path: str) -> list:
+    """A --config file's JSON object as flags: a true key --key, any other --key=value."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise UsageError(f"--config must hold a JSON object, got {type(doc).__name__}")
+    return [f"--{key}" if value is True else f"--{key}={value}" for key, value in doc.items()]
+
+
 def config_from_args(args) -> RunConfig:
     group = args.group
     if group is None:
@@ -508,11 +513,11 @@ def config_from_args(args) -> RunConfig:
     command = group if group in ("partitions", "score", "tower", "selftest") else f"{group}.{getattr(args, 'cmd', None)}"
     if command.endswith("None"):
         raise UsageError(f"missing subcommand for {group!r}")
+    # before Python 3.12, argparse drops the value of "--flag=--" and stores []
+    if [] in vars(args).values() or [] in (args.formats or ()):
+        raise UsageError("an option given as --flag=-- has no value")
     skip = {"group", "cmd", "seed", "out", "formats", "config"}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    if args.config:
-        with open(args.config) as fh:
-            params.update(json.load(fh))
     return RunConfig(
         command=command,
         params=params,
@@ -524,11 +529,14 @@ def config_from_args(args) -> RunConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):  # its keys are flags given after the command line's own
+            args = parser.parse_args(argv + _config_flags(args.config))
         config = config_from_args(args)
         bundle = run(config)
-    except (ValueError, OSError, KeyError, pfh.ComplexSizeError, el.ResourceCapError) as ex:
+    except (ValueError, OSError, KeyError, OverflowError, pfh.ComplexSizeError, el.ResourceCapError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except SystemExit as ex:

@@ -17,10 +17,11 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+CENSUS_CAP = 100_000  # torus families one census may list
 
 
 class ResourceCapError(RuntimeError):
-    """Spectrum enumeration would exceed the configured entry cap."""
+    """An enumeration would exceed its entry cap."""
 
 
 def _detect_rational(x: float) -> Optional[Fraction]:
@@ -98,7 +99,8 @@ def simple_orbit_census(e: Ellipsoid, L: float) -> List[dict]:
 
     Irrational aspect ratio: exactly the two core circles, with model
     rotation numbers a/b and b/a.  Rational ratio p/q in lowest terms: the
-    core circles plus one Morse-Bott torus family per common period m*q*a.
+    core circles plus one Morse-Bott torus family per common period m*q*a,
+    at most CENSUS_CAP of them.
     """
     if L <= 0:
         raise ValueError("action bound must be positive")
@@ -130,6 +132,8 @@ def simple_orbit_census(e: Ellipsoid, L: float) -> List[dict]:
     if ratio is not None:
         p, q = ratio.numerator, ratio.denominator
         period = q * a  # = p * b up to rounding; exact when inputs are exact
+        if L > CENSUS_CAP * period:
+            raise ResourceCapError(f"census would list more than {CENSUS_CAP} torus families")
         m = 1
         while m * period <= L:
             out.append(
@@ -143,14 +147,6 @@ def simple_orbit_census(e: Ellipsoid, L: float) -> List[dict]:
             )
             m += 1
     return out
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    k: int
-    c: float
-    grading: int
-    witness: Tuple[int, int]
 
 
 def spectrum_values(
@@ -229,21 +225,6 @@ def cached_spectrum_values(e: Ellipsoid, count: int) -> np.ndarray:
     return data
 
 
-def action_spectrum(e: Ellipsoid, L: float, formal: bool = False) -> List[SpectrumEntry]:
-    """Indexed action spectrum up to L: entries (k, c_k, grading 2k, witness)."""
-    vals = spectrum_values(e, L=L, formal=formal)
-    return [SpectrumEntry(k, v, 2 * k, (m, n)) for k, (v, m, n) in enumerate(vals)]
-
-
-def spectral_invariant(e: Ellipsoid, k: int, formal: bool = False) -> SpectrumEntry:
-    """The k-th spectral value, growing the enumeration adaptively."""
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    vals = spectrum_values(e, count=k + 1, formal=formal)
-    v, m, n = vals[k]
-    return SpectrumEntry(k, v, 2 * k, (m, n))
-
-
 def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
     """Convergence of c_k^2 / (2k) to the contact volume a*b.
 
@@ -259,33 +240,18 @@ def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
     else:
         cs = cached_spectrum_values(e, kmax + 1)
     v = volume(e)
-    ks = np.arange(len(cs))
-    rows = []
-    k = 1
-    while k <= kmax:
-        ratio = cs[k] ** 2 / (2.0 * k)
-        rows.append({"k": k, "c_k": float(cs[k]), "ratio": float(ratio), "deviation": float(abs(ratio - v))})
-        k *= 2
-    if rows and rows[-1]["k"] != kmax:
-        ratio = cs[kmax] ** 2 / (2.0 * kmax)
-        rows.append({"k": kmax, "c_k": float(cs[kmax]), "ratio": float(ratio), "deviation": float(abs(ratio - v))})
-    lo = max(1, kmax // 10)
-    dec = np.abs(cs[lo : kmax + 1] ** 2 / (2.0 * ks[lo : kmax + 1]) - v)
+    ratio = cs[1:] ** 2 / (2.0 * np.arange(1, kmax + 1))
+    dev = np.abs(ratio - v)
+    rows = [
+        {"k": k, "c_k": float(cs[k]), "ratio": float(ratio[k - 1]), "deviation": float(dev[k - 1])}
+        for k in sorted({2**j for j in range(kmax.bit_length())} | {kmax})
+    ]
     return {
         "volume": v,
         "rows": rows,
-        "final_decade_max_deviation": float(dec.max()),
+        "final_decade_max_deviation": float(dev[max(1, kmax // 10) - 1 :].max()),
         "kmax": kmax,
     }
-
-
-def max_deviation_over(e: Ellipsoid, k_lo: int, k_hi: int) -> float:
-    """max over k in [k_lo, k_hi] of |c_k^2/(2k) - volume|."""
-    cs = cached_spectrum_values(e, k_hi + 1)
-    v = volume(e)
-    ks = np.arange(len(cs))
-    dev = np.abs(cs[k_lo : k_hi + 1] ** 2 / (2.0 * ks[k_lo : k_hi + 1]) - v)
-    return float(dev.max())
 
 
 def volume(e: Ellipsoid) -> float:

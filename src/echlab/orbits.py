@@ -209,8 +209,10 @@ class CurveEnds:
 class CurveData:
     """Combinatorial data of one U-map curve C = C0 u C1, immutable once built.
 
-    ``action`` (the endpoint action difference, by Stokes) and ``j0`` (see
-    ``j0_of_curve``) are computed at construction.
+    ``action`` (the endpoint action difference, by Stokes) and ``j0``, the
+    J0 topology index -2 + 2 g(C1) + e(C), are computed at construction.
+    e(C) sums, over every orbit where C1 has ends, twice the number of ends
+    minus one when no trivial cylinder covers that orbit.
 
     ``positive_ends`` / ``negative_ends`` record the ends of the embedded
     component C1; at each listed orbit the deficit against the endpoint
@@ -270,15 +272,6 @@ class CurveData:
         return self.genus == 0 and pos == 1 and neg == 1
 
 
-def j0_of_curve(c: CurveData) -> int:
-    """J0 topology index: -2 + 2 g(C1) + e(C).
-
-    e(C) sums, over every orbit where C1 has ends, twice the number of ends
-    minus one when no trivial cylinder covers that orbit.
-    """
-    return c.j0
-
-
 def ech_index_from_j0(c: CurveData) -> int:
     """ECH index from the index-difference identity: I = J0 + 2 c_tau + CZ^top(alpha) - CZ^top(beta)."""
     return c.j0 + 2 * c.c_tau + c.alpha.cz_top - c.beta.cz_top
@@ -328,6 +321,8 @@ class Tower:
     curves: List[CurveData]
 
     def __post_init__(self):
+        if not self.curves:
+            raise StructuralError("a tower needs at least one curve")
         for i, (upper, lower) in enumerate(zip(self.curves, self.curves[1:])):
             if upper.beta is not lower.alpha and not upper.beta == lower.alpha:
                 raise StructuralError(f"tower adjacency fails between curves {i} and {i + 1}")
@@ -442,10 +437,25 @@ def _integer(v, key: str) -> int:
     return v
 
 
+def _number(v, key: str) -> float:
+    """v, the value of field ``key``, as a float when it is a finite JSON number; a StructuralError
+    otherwise, or an OverflowError for an integer beyond the float range."""
+    if not ((_is_int(v) or isinstance(v, float)) and math.isfinite(v)):
+        raise StructuralError(f"{key} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _string(v, key: str) -> str:
+    """v, the value of field ``key``, when it is a JSON string; a StructuralError otherwise."""
+    if not isinstance(v, str):
+        raise StructuralError(f"{key} must be a string, got {v!r}")
+    return v
+
+
 def _entries(d: dict, key: str) -> list:
-    """d[key] when it is a JSON array of [label, multiplicity] pairs, multiplicities integers."""
+    """d[key] when it is a JSON array of [label, multiplicity] pairs: string labels, integer multiplicities."""
     for e in _array(d, key):
-        if not (isinstance(e, list) and len(e) == 2 and _is_int(e[1])):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and _is_int(e[1])):
             raise StructuralError(f"{key} entry must be a [label, multiplicity] pair, got {e!r}")
     return d[key]
 
@@ -458,10 +468,11 @@ def _fraction_from_json(v: list) -> Fraction:
     return Fraction(v[0], v[1])
 
 
-def _num_from_json(v):
+def _num_from_json(v, key: str):
+    """A [numerator, denominator] pair as a Fraction, a finite number as a float."""
     if isinstance(v, list):
         return _fraction_from_json(v)
-    return float(v)
+    return _number(v, key)
 
 
 def orbit_to_json(o: SimpleOrbit) -> dict:
@@ -476,12 +487,10 @@ def orbit_to_json(o: SimpleOrbit) -> dict:
 
 
 def orbit_from_json(d: dict) -> SimpleOrbit:
-    theta = _record(d, "orbit record")["theta"]
-    rot = Rotation.rational(_fraction_from_json(theta)) if isinstance(theta, list) else Rotation.real(theta)
     return SimpleOrbit(
-        label=d["label"],
-        action=_num_from_json(d["action"]),
-        theta=rot,
+        label=_string(_record(d, "orbit record")["label"], "label"),
+        action=_num_from_json(d["action"], "action"),
+        theta=Rotation.coerce(_num_from_json(d["theta"], "theta")),
         kind=d["kind"],
         period=_integer(d.get("period", 1), "period"),
     )
@@ -525,7 +534,9 @@ def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> C
 
     def ends(key):
         records = [_record(e, "ends record") for e in _array(d, key, optional=True)]
-        return tuple(CurveEnds(e["orbit"], tuple(_array(e, "multiplicities")), e["c0"]) for e in records)
+        return tuple(CurveEnds(_string(e["orbit"], "orbit"),
+                               tuple(_integer(m, "multiplicities") for m in _array(e, "multiplicities")),
+                               e["c0"]) for e in records)
 
     return CurveData(
         genus=_integer(d["genus"], "genus"),

@@ -473,6 +473,8 @@ def infinite_twist_experiment(profile: TwistProfile, imax: int = 20, dmax: int =
     c_d(f_i) <= c_d(f_{i+1}) <= c_d(f), and the bound
     c_d(f_i) <= 2 d * hofer_norm_bound(f_i) cell by cell.
     """
+    if imax < 1:
+        raise ValueError(f"truncation count imax must be >= 1, got {imax}")
     cal_full = calabi(profile, self_check_tol=None)
     if not math.isinf(cal_full):
         raise ValueError("experiment requires a profile with divergent Calabi invariant")
@@ -519,7 +521,7 @@ def infinite_twist_experiment(profile: TwistProfile, imax: int = 20, dmax: int =
         "rows": rows,
         "full_twist_cd": cd_full,
         "calabi_strictly_increasing": cal_increasing,
-        "calabi_max": cals[-1] if cals else 0.0,
+        "calabi_max": cals[-1],
         "monotone_chain_ok": chain_ok,
         "step1_ok": step1_ok,
         "step2_ok": all(row["step2_ok"] for row in rows),
@@ -527,7 +529,5 @@ def infinite_twist_experiment(profile: TwistProfile, imax: int = 20, dmax: int =
         "conclusion": (
             f"sup_d c_d/d grows from {sup_ratios[0]:.6g} at i=1 to "
             f"{sup_ratios[-1]:.6g} at i={imax}; Calabi reaches {cals[-1]:.6g}"
-            if rows
-            else "no rows"
         ),
     }

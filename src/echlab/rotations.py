@@ -66,9 +66,6 @@ class Rotation:
             return Rotation.rational(theta)
         return Rotation.real(theta)
 
-    def __float__(self) -> float:
-        return float(self.value)
-
     def scaled_floor(self, m: int) -> int:
         """floor(m * theta), guarded against near-integral m*theta in the real lane."""
         if self.exact:

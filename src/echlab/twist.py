@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .orbits import StructuralError, _array, _is_int, _number, _record
+
 TWO_PI = 2.0 * math.pi
 
 # Calibration constants for the combinatorial model, recorded in every run
@@ -163,17 +165,6 @@ class TwistProfile:
         last = self.segments[-1]
         return last.is_constant() and last.value(last.hi) == 0.0 and last.lo < 1.0
 
-    @property
-    def support_end(self) -> float:
-        """Smallest r0 with f == 0 on [r0, 1] (1.0 when f(1) > 0)."""
-        r0 = 1.0
-        for seg in reversed(self.segments):
-            if seg.is_constant() and seg.value(seg.hi) == 0.0:
-                r0 = seg.lo
-            else:
-                break
-        return r0
-
     # -- integrals -----------------------------------------------------------
 
     def hamiltonian(self, r: float) -> float:
@@ -201,19 +192,6 @@ class TwistProfile:
         return sum(seg.integral_weighted(max(seg.lo, 0.0), seg.hi, 2) for seg in self.segments)
 
     # -- transforms -----------------------------------------------------------
-
-    def truncated(self, i: int) -> "TwistProfile":
-        """Plateau the profile at its value at r = 1/i on (0, 1/i]."""
-        if i < 1:
-            raise ValueError("truncation index must be >= 1")
-        cut = 1.0 / i
-        plateau = self(cut)
-        segs: List[Segment] = [Segment(0.0, cut, ((plateau, 0),))]
-        for seg in self.segments:
-            lo, hi = max(seg.lo, cut), seg.hi
-            if hi > lo + 1e-15:
-                segs.append(Segment(lo, hi, seg.terms))
-        return TwistProfile(segs, name=f"{self.name}|trunc{i}", _certify=False)
 
     def __add__(self, other: "TwistProfile") -> "TwistProfile":
         cuts = sorted({s.lo for s in self.segments + other.segments} | {1.0})
@@ -247,12 +225,18 @@ class TwistProfile:
 
     @staticmethod
     def from_json(d: dict) -> "TwistProfile":
-        if d.get("type") == "samples":
-            return profile_from_samples(d["r"], d["f"], name=d.get("name", "samples"))
-        segs = [
-            Segment(s["lo"], s["hi"], tuple((float(c), int(k)) for c, k in s["terms"]))
-            for s in d["segments"]
-        ]
+        """The profile of a JSON document; a malformed one raises StructuralError."""
+        if _record(d, "profile document").get("type") == "samples":
+            r, f = ([_number(x, key) for x in _array(d, key)] for key in ("r", "f"))
+            return profile_from_samples(r, f, name=d.get("name", "samples"))
+        segs = []
+        for s in _array(d, "segments"):
+            terms = _array(_record(s, "segment record"), "terms")
+            for t in terms:
+                if not (isinstance(t, list) and len(t) == 2 and _is_int(t[1])):
+                    raise StructuralError(f"terms entry must be a [coefficient, integer exponent] pair, got {t!r}")
+            segs.append(Segment(_number(s["lo"], "lo"), _number(s["hi"], "hi"),
+                                tuple((_number(c, "coefficient"), k) for c, k in terms)))
         return TwistProfile(segs, name=d.get("name", "profile"))
 
 
@@ -437,4 +421,13 @@ def periodic_census(f: TwistProfile, d: int) -> List[PeriodicCircle]:
 
 
 def truncate_profile(f: TwistProfile, i: int) -> TwistProfile:
-    return f.truncated(i)
+    """Plateau the profile at its value at r = 1/i on (0, 1/i]."""
+    if i < 1:
+        raise ValueError("truncation index must be >= 1")
+    cut = 1.0 / i
+    segs: List[Segment] = [Segment(0.0, cut, ((f(cut), 0),))]
+    for seg in f.segments:
+        lo, hi = max(seg.lo, cut), seg.hi
+        if hi > lo + 1e-15:
+            segs.append(Segment(lo, hi, seg.terms))
+    return TwistProfile(segs, name=f"{f.name}|trunc{i}", _certify=False)

@@ -90,7 +90,25 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
          "integer; pass an exact rational p/q\n"),
         (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--count", "0"],
          "error: spectrum count must be at least 1, got 0"),
+        (["ellipsoid", "census", "--a", "1", "--b", "2", "--L", "1e300"],
+         "error: census would list more than 100000 torus families"),
+        (["ellipsoid", "census", "--a", "1", "--b", "2", "--L=--"], "error: an option given as --flag=-- has no value"),
+        (["twist", "infinite", "--profile", profile, "--imax", "0"], "error: truncation count imax must be >= 1, got 0"),
     ]
+    for flag, command in (("--L", "census"), ("--L", "spectrum"), ("--tol", "weyl")):
+        cases.append((["ellipsoid", command, "--a", "1", "--b", "sqrt2", flag, "inf"],
+                      f"error: echlab ellipsoid {command}: argument {flag}: invalid parse_number value: 'inf'"))
+    configs = [
+        ([1, 2], "--config must hold a JSON object, got list"),
+        ({"a": "x"}, "echlab ellipsoid census: argument --a: invalid parse_number value: 'x'"),
+        ({"L": math.inf}, "echlab ellipsoid census: argument --L: invalid parse_number value: 'inf'"),
+        ({"tol": 0.1}, "echlab: unrecognized arguments: --tol=0.1"),
+        ({"m": 2.5}, "echlab: unrecognized arguments: --m=2.5"),
+    ]
+    for i, (doc, message) in enumerate(configs):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(doc))
+        cases.append((["ellipsoid", "census", "--a", "1", "--b", "2", "--config", str(path)], "error: " + message))
     for value in ("inf", "1e400", "sqrtinf", "nan"):
         cases.append((["ellipsoid", "census", "--a", value, "--b", "2"],
                       f"error: echlab ellipsoid census: argument --a: invalid parse_number value: '{value}'"))
@@ -143,6 +161,12 @@ _CURVE = {"genus": 0, "orbits": [{"label": "a", "action": [1, 2], "theta": [1, 5
      "multiplicities must be a JSON array, got int"),
     ("tower", {"orbits": 5, "curves": []}, "orbits must be a JSON array, got int"),
     ("tower", {"orbits": [], "curves": 5}, "curves must be a JSON array, got int"),
+    ("score", {"orbits": [], "entries": [[[1], 1]]},
+     "entries entry must be a [label, multiplicity] pair, got [[1], 1]"),
+    ("score", dict(_CURVE, positive_ends=[{"orbit": [1], "multiplicities": [1], "c0": False}]),
+     "orbit must be a string, got [1]"),
+    ("score", {"orbits": [dict(_CURVE["orbits"][0], label=[1])], "entries": []}, "label must be a string, got [1]"),
+    ("tower", {"orbits": [], "curves": []}, "a tower needs at least one curve"),
 ])
 def test_mistyped_list_fields_exit_2(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"
@@ -166,12 +190,65 @@ _ORBIT = _CURVE["orbits"][0]
     (dict(_CURVE, genus=True), "genus must be an integer, got True"),
     (dict(_CURVE, c_tau=1.5), "c_tau must be an integer, got 1.5"),
     (dict(_CURVE, orbits=[dict(_ORBIT, period=1.0)]), "period must be an integer, got 1.0"),
+    (dict(_CURVE, positive_ends=[{"orbit": "a", "multiplicities": ["1"], "c0": False}]),
+     "multiplicities must be an integer, got '1'"),
+    ({"orbits": [dict(_ORBIT, theta=math.inf)], "entries": [["a", 1]]}, "theta must be a finite number, got inf"),
+    ({"orbits": [dict(_ORBIT, action=math.inf)], "entries": [["a", 1]]}, "action must be a finite number, got inf"),
+    ({"orbits": [dict(_ORBIT, action="1.5")], "entries": [["a", 1]]}, "action must be a finite number, got '1.5'"),
 ])
 def test_mistyped_number_fields_exit_2(tmp_path, capsys, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main(["score", "--input", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_SEGMENT = {"lo": 0.0, "hi": 1.0, "terms": [[1.0, 0]]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "profile document must be a JSON object, got list"),
+    ({"segments": 5}, "segments must be a JSON array, got int"),
+    ({"segments": [5]}, "segment record must be a JSON object, got int"),
+    ({"segments": [dict(_SEGMENT, lo="0")]}, "lo must be a finite number, got '0'"),
+    ({"segments": [dict(_SEGMENT, terms=[[1.0, 0.5]])]},
+     "terms entry must be a [coefficient, integer exponent] pair, got [1.0, 0.5]"),
+    ({"type": "samples", "r": [0, 0.5, 1], "f": [math.nan, 1, 0]}, "f must be a finite number, got nan"),
+])
+def test_mistyped_profile_fields_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    assert main(["twist", "calabi", "--profile", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_number_beyond_the_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"segments": [dict(_SEGMENT, terms=[[1.0, -2000]])]}))
+    assert main(["twist", "calabi", "--profile", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_values_are_parsed_like_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": "sqrt2", "kmax": "50", "formal": True, "tol": "1/2", "seed": 3}))
+    assert main(["ellipsoid", "weyl", "--a", "1", "--b", "2", "--config", str(cfg)]) == 0
+    config = json.loads(capsys.readouterr().out)["manifest"]["config"]
+    assert (config["b"], config["kmax"], config["formal"], config["tol"]) == (math.sqrt(2), 50, True, [1, 2])
+    assert config["seed"] == 3
+
+
+def test_theta_takes_the_number_syntax(capsys):
+    expected = {"1/3": ([["positive", "3"], ["negative", "3"]], 2),
+                "2": ([["positive", "1 1 1"], ["negative", "1 1 1"]], 12),
+                "0.3": ([["positive", "1 1 1"], ["negative", "3"]], 1),
+                "pi": ([["positive", "1 1 1"], ["negative", "3"]], 19),
+                "golden": ([["positive", "2 1"], ["negative", "3"]], 9)}
+    for theta, (rows, cz) in expected.items():
+        assert main(["partitions", "--theta", theta, "--m", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["tables"]["partitions"]["rows"], doc["manifest"]["cz_index"]) == (rows, cz), theta
 
 
 def test_sampled_profile_passes_the_fubini_check(tmp_path, capsys):

@@ -6,16 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from echlab.cli import RunConfig, run
 from echlab.ellipsoid import (
     Ellipsoid,
     FlowState,
-    action_spectrum,
     gss_return_map,
-    max_deviation_over,
     product_of_periods_check,
     reeb_flow,
     simple_orbit_census,
-    spectral_invariant,
     spectrum_values,
     volume,
     volume_quadrature,
@@ -87,40 +85,44 @@ def test_census_monotone_in_bound():
 
 def test_spectrum_first_entries():
     e = Ellipsoid(1.0, SQRT2)
-    entries = action_spectrum(e, 3.0)
-    got = [round(s.c, 12) for s in entries[:5]]
+    values = spectrum_values(e, L=3.0)
+    got = [round(v, 12) for v, _, _ in values[:5]]
     expected = [0.0, 1.0, SQRT2, 2.0, 1 + SQRT2]
     assert got == [round(v, 12) for v in expected]
-    assert entries[0].witness == (0, 0)
-    assert all(s.grading == 2 * s.k for s in entries)
+    assert values[0] == (0.0, 0, 0)
+    assert all(abs(v - (m + n * SQRT2)) < 1e-12 for v, m, n in values)
+    # the spectrum command indexes the rows: c_k sits in grading 2k
+    rows = run(RunConfig("ellipsoid.spectrum", {"a": 1.0, "b": SQRT2, "L": 3.0})).tables["spectrum"].rows
+    assert [tuple(r) for r in rows] == [(k, v, 2 * k, m, n) for k, (v, m, n) in enumerate(values)]
 
 
 def test_spectrum_matches_grid_oracle():
     e = Ellipsoid(1.0, SQRT2)
-    entries = action_spectrum(e, 6.0)
+    values = [v for v, _, _ in spectrum_values(e, L=6.0)]
     grid = sorted(m + n * SQRT2 for m in range(8) for n in range(6) if m + n * SQRT2 <= 6.0)
-    assert len(entries) == len(grid)
-    assert np.allclose([s.c for s in entries], grid)
+    assert len(values) == len(grid)
+    assert np.allclose(values, grid)
 
 
 def test_spectrum_formal_mode_duplicates():
     e = Ellipsoid(Fraction(1), Fraction(4))
     with pytest.raises(ValueError):
-        action_spectrum(e, 4.0)
-    entries = action_spectrum(e, 4.0, formal=True)
-    assert [s.c for s in entries] == [0.0, 1.0, 2.0, 3.0, 4.0, 4.0]
+        spectrum_values(e, L=4.0)
+    values = spectrum_values(e, L=4.0, formal=True)
+    assert [v for v, _, _ in values] == [0.0, 1.0, 2.0, 3.0, 4.0, 4.0]
 
 
 def test_spectral_invariant_examples():
-    assert spectral_invariant(Ellipsoid(1.0, SQRT2), 0).c == 0.0
-    assert spectral_invariant(Ellipsoid(1.0, SQRT2), 3).c == 2.0
+    # c_k is the last of the first k + 1 values
+    assert spectrum_values(Ellipsoid(1.0, SQRT2), count=1) == [(0.0, 0, 0)]
+    assert spectrum_values(Ellipsoid(1.0, SQRT2), count=4)[3] == (2.0, 2, 0)
     # round case: triangular-number counting oracle
     e = Ellipsoid(Fraction(1), Fraction(1))
     for k in range(40):
         v = 0
         while (v + 1) * (v + 2) // 2 < k + 1:
             v += 1
-        assert spectral_invariant(e, k, formal=True).c == v
+        assert spectrum_values(e, count=k + 1, formal=True)[k][0] == v
 
 
 def test_spectrum_scaling_law():
@@ -149,7 +151,7 @@ def test_weyl_table_structure():
 def test_weyl_deviation_decreases_over_decades():
     for b in (SQRT2, (1 + math.sqrt(5)) / 2):
         e = Ellipsoid(1.0, b)
-        devs = [max_deviation_over(e, k, 2 * k) for k in (500, 5000, 50000)]
+        devs = [weyl_table(e, kmax)["final_decade_max_deviation"] for kmax in (1000, 10000, 100000)]
         assert devs[0] > devs[1] > devs[2]
 
 

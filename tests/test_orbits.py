@@ -28,7 +28,6 @@ from echlab.orbits import (
     ech_index_from_j0,
     forced_topology,
     is_ech_generator,
-    j0_of_curve,
     k_invariant,
     orbit_set_from_json,
     orbit_set_to_json,
@@ -99,9 +98,9 @@ def cylinder(alpha_orbit, beta_orbit, alpha_mult=1, beta_mult=1, c0=False, genus
 
 
 def test_j0_examples():
-    assert j0_of_curve(cylinder(GAMMA_A, GAMMA_B)) == 0
-    assert j0_of_curve(cylinder(GAMMA_A, GAMMA_B, genus=1)) == 2
-    assert j0_of_curve(cylinder(GAMMA_A, GAMMA_B, alpha_mult=3, beta_mult=2, c0=True)) == 2
+    assert cylinder(GAMMA_A, GAMMA_B).j0 == 0
+    assert cylinder(GAMMA_A, GAMMA_B, genus=1).j0 == 2
+    assert cylinder(GAMMA_A, GAMMA_B, alpha_mult=3, beta_mult=2, c0=True).j0 == 2
 
 
 def test_j0_invariance_under_relabeling_and_order():
@@ -120,7 +119,7 @@ def test_j0_invariance_under_relabeling_and_order():
         OrbitSet([(g2, 1), (g1, 4)]),
         OrbitSet([(GAMMA_B, 1)]),
     )
-    assert j0_of_curve(c) == j0_of_curve(c_perm)
+    assert c.j0 == c_perm.j0
 
 
 def test_curve_invariants_enforced():
@@ -144,11 +143,11 @@ def test_curve_invariants_enforced():
 
 def test_ech_index_examples():
     c = cylinder(GAMMA_A, orb("b2", 1, 1, 5))
-    assert ech_index_from_j0(c) == j0_of_curve(c)  # equal cz_top, c_tau = 0
+    assert ech_index_from_j0(c) == c.j0 == 0  # equal cz_top, c_tau = 0
     c2 = CurveData(0, (CurveEnds("a", (1, 1, 1, 1), False),), (), OrbitSet([(GAMMA_A, 4)]), OrbitSet())
-    assert ech_index_from_j0(c2) == j0_of_curve(c2) + 1
+    assert (c2.j0, ech_index_from_j0(c2)) == (5, 6)
     c3 = CurveData(0, (CurveEnds("a", (1, 1, 1, 1), False),), (), OrbitSet([(GAMMA_A, 4)]), OrbitSet(), c_tau=3)
-    assert ech_index_from_j0(c3) == j0_of_curve(c3) + 7
+    assert (c3.j0, ech_index_from_j0(c3)) == (5, 12)
 
 
 def test_forced_topology():
@@ -192,7 +191,7 @@ def test_total_score_examples():
     )
     # J0 = -2 + 2 + 2*2 = 4 here, so construct the J0=2 case directly instead:
     c2 = cylinder(GAMMA_A, GAMMA_B, alpha_mult=3, beta_mult=2, c0=True)
-    assert j0_of_curve(c2) == 2
+    assert c2.j0 == 2
     assert total_score(c2) == curve_score(c2) == c2.alpha.score - c2.beta.score
 
 
@@ -201,17 +200,17 @@ def test_k_invariant_examples():
     gx, gy = orb("x", 9, 1, 7), orb("y", 1, 2, 7)
     c = CurveData(1, (CurveEnds("x", (3,), False),), (CurveEnds("y", (1,), False),),
                   OrbitSet([(gx, 3)]), OrbitSet([(gy, 1)]))
-    assert j0_of_curve(c) == 2
+    assert c.j0 == 2
     assert k_invariant(c) == -1
     # alpha mult 1, beta mult 2 with a trivial-cylinder part and genus 1: J0 = 3
     c2 = CurveData(1, (CurveEnds("x", (1,), False),), (CurveEnds("y", (1,), True),),
                    OrbitSet([(gx, 1)]), OrbitSet([(gy, 2)]))
-    assert j0_of_curve(c2) == 3
+    assert c2.j0 == 3
     assert k_invariant(c2) == 3
     same = OrbitSet()
     c3 = CurveData(1, (CurveEnds("x", (1,), False),), (CurveEnds("y", (1,), False),),
                    OrbitSet([(gx, 1)]), OrbitSet([(gy, 1)]))
-    assert j0_of_curve(c3) == 2 and k_invariant(c3) == 0
+    assert c3.j0 == 2 and k_invariant(c3) == 0
 
 
 def test_tower_adjacency_enforced():
@@ -265,7 +264,7 @@ def test_json_roundtrips():
     c = cylinder(GAMMA_A, GAMMA_B, alpha_mult=3, beta_mult=2, c0=True)
     c2 = curve_from_json(json.loads(json.dumps(curve_to_json(c))))
     assert total_score(c2) == total_score(c)
-    assert j0_of_curve(c2) == j0_of_curve(c)
+    assert c2.j0 == c.j0 == 2
     rng = random.Random(8)
     t = random_tower(rng, 20)
     t2 = tower_from_json(json.loads(json.dumps(tower_to_json(t))))
@@ -285,7 +284,7 @@ def test_orbit_sets_and_curves_are_immutable():
         c.genus = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.j0 = 7
-    assert (c.action, c.j0) == (GAMMA_A.action - GAMMA_B.action, j0_of_curve(c))
+    assert (c.action, c.j0) == (GAMMA_A.action - GAMMA_B.action, 0)
 
 
 def test_degenerate_cover_raises_at_construction():
