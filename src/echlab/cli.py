@@ -1,5 +1,11 @@
 """Command-line entry point: deterministic experiment orchestration.
 
+``COMMANDS`` declares each subcommand once: its handler and its flags, each
+flag a (name, type, default).  ``build_parser`` builds the argparse tree
+from it on first use, once per process, and ``run`` fills the command's
+defaults into ``RunConfig.params``, so ``main`` and a direct
+``run(RunConfig(...))`` hand a handler the same parameters.
+
 Exit codes: 0 when every verdict passes, 1 when any fails, 2 on usage,
 input, schema or cap errors: ``main`` turns every ValueError (argument
 errors included), OSError, missing key, float overflow and generator or
@@ -14,11 +20,12 @@ configurations produce byte-identical output bundles.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
@@ -103,29 +110,17 @@ def _load_profile(path: str) -> twist.TwistProfile:
 
 
 def run(config: RunConfig) -> ReportBundle:
-    """Dispatch a validated RunConfig to its module operation."""
-    handlers = {
-        "ellipsoid.census": _ellipsoid_census,
-        "ellipsoid.spectrum": _ellipsoid_spectrum,
-        "ellipsoid.weyl": _ellipsoid_weyl,
-        "ellipsoid.return-map": _ellipsoid_return_map,
-        "ellipsoid.identity-check": _ellipsoid_identity,
-        "twist.calabi": _twist_calabi,
-        "twist.census": _twist_census,
-        "twist.complex": _twist_complex,
-        "twist.cd": _twist_cd,
-        "twist.axioms": _twist_axioms,
-        "twist.infinite": _twist_infinite,
-        "partitions": _partitions,
-        "score": _score,
-        "tower": _tower,
-        "selftest": _selftest,
-    }
-    if config.command not in handlers:
+    """Dispatch a RunConfig to its command's handler, with the command's
+    defaults filled in under ``params``."""
+    if config.command not in COMMANDS:
         raise UsageError(f"unknown subcommand {config.command!r}")
-    bundle = ReportBundle(manifest=base_manifest({"command": config.command, **config.params, "seed": config.seed}))
+    handler, flags = COMMANDS[config.command]
+    defaults = {name: default for name, _, default in flags if default is not _REQUIRED}
+    config = replace(config, params={**defaults, **config.params})
+    recorded = {k: v for k, v in config.params.items() if v is not None}  # an unset optional flag is left out
+    bundle = ReportBundle(manifest=base_manifest({"command": config.command, **recorded, "seed": config.seed}))
     try:
-        handlers[config.command](config, bundle)
+        handler(config, bundle)
     except (pfh.CalibrationError, twist.FubiniCheckError) as ex:
         # a failed consistency check of the model is a verdict, not a crash
         bundle.add_verdict(type(ex).__name__, False, detail=str(ex))
@@ -134,7 +129,7 @@ def run(config: RunConfig) -> ReportBundle:
 
 def _ellipsoid_census(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
-    census = el.simple_orbit_census(e, cfg.params.get("L", 10.0))
+    census = el.simple_orbit_census(e, cfg.params["L"])
     bundle.add_table(
         "census",
         ["label", "type", "action", "degenerate"],
@@ -147,18 +142,11 @@ def _ellipsoid_census(cfg: RunConfig, bundle: ReportBundle):
 
 def _ellipsoid_spectrum(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
-    count = cfg.params.get("count")
-    if count is not None:
-        count = int(count)
-        if count < 1:
-            raise UsageError(f"spectrum count must be at least 1, got {count}")
-    values = el.spectrum_values(
-        e,
-        L=None if count is not None else float(cfg.params.get("L", 10.0)),
-        count=count,
-        formal=bool(cfg.params.get("formal", False)),
-        cap=int(cfg.params.get("cap", 10**7)),
-    )
+    count = cfg.params["count"]  # when given, it replaces the action bound L
+    if count is not None and count < 1:
+        raise UsageError(f"spectrum count must be at least 1, got {count}")
+    values = el.spectrum_values(e, L=None if count is not None else float(cfg.params["L"]), count=count,
+                                formal=cfg.params["formal"], cap=cfg.params["cap"])
     bundle.add_table(
         "spectrum",
         ["k", "c_k", "grading", "m", "n"],
@@ -170,9 +158,9 @@ def _ellipsoid_spectrum(cfg: RunConfig, bundle: ReportBundle):
 
 def _ellipsoid_weyl(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
-    kmax = int(cfg.params.get("kmax", 10**5))
-    tol = float(cfg.params.get("tol", 0.02))
-    table = el.weyl_table(e, kmax, formal=bool(cfg.params.get("formal", False)))
+    kmax = cfg.params["kmax"]
+    tol = float(cfg.params["tol"])
+    table = el.weyl_table(e, kmax, formal=cfg.params["formal"])
     rows = [(r["k"], r["c_k"], r["ratio"], r["deviation"]) for r in table["rows"]]
     bundle.add_table("weyl", ["k", "c_k", "ratio", "deviation"], rows)
     t = bundle.tables["weyl"]
@@ -188,7 +176,7 @@ def _ellipsoid_weyl(cfg: RunConfig, bundle: ReportBundle):
 
 def _ellipsoid_return_map(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
-    n = int(cfg.params.get("points", 100))
+    n = cfg.params["points"]
     rng = random.Random(cfg.seed)
     expected = (2 * math.pi * float(e.a) / float(e.b)) % (2 * math.pi)
     rows = []
@@ -228,7 +216,7 @@ def _twist_calabi(cfg: RunConfig, bundle: ReportBundle):
 
 def _twist_census(cfg: RunConfig, bundle: ReportBundle):
     f = _load_profile(cfg.params["profile"])
-    d = int(cfg.params.get("d", 6))
+    d = cfg.params["d"]
     circles = twist.periodic_census(f, d)
     bundle.add_table(
         "twist_census",
@@ -241,8 +229,8 @@ def _twist_census(cfg: RunConfig, bundle: ReportBundle):
 
 def _twist_complex(cfg: RunConfig, bundle: ReportBundle):
     f = _load_profile(cfg.params["profile"])
-    d = int(cfg.params.get("d", 4))
-    cx = pfh.build_complex(f, d, generator_cap=int(cfg.params.get("cap", 200_000)))
+    d = cfg.params["d"]
+    cx = pfh.build_complex(f, d, generator_cap=cfg.params["cap"])
     rep = cx.validate()
     bundle.add_table(
         "complex",
@@ -255,7 +243,7 @@ def _twist_complex(cfg: RunConfig, bundle: ReportBundle):
 
 def _twist_cd(cfg: RunConfig, bundle: ReportBundle):
     f = _load_profile(cfg.params["profile"])
-    d = int(cfg.params.get("d", 16))
+    d = cfg.params["d"]
     cd = pfh.spectral_invariant_cd(f, d)
     cal = twist.calabi(f, self_check_tol=None)
     bundle.add_table("cd", ["d", "c_d", "ratio", "calabi"], [(d, cd, cd / d, cal)])
@@ -264,8 +252,8 @@ def _twist_cd(cfg: RunConfig, bundle: ReportBundle):
 
 def _twist_axioms(cfg: RunConfig, bundle: ReportBundle):
     f = _load_profile(cfg.params["profile"])
-    g = _load_profile(cfg.params.get("profile2", cfg.params["profile"]))
-    rep = pfh.axioms_report(f, g, dmax=int(cfg.params.get("dmax", 128)))
+    g = _load_profile(cfg.params["profile2"] or cfg.params["profile"])
+    rep = pfh.axioms_report(f, g, dmax=cfg.params["dmax"])
     rows = []
     for side, table in (("f", rep["weyl_f"]), ("g", rep["weyl_g"])):
         for r in table:
@@ -285,9 +273,7 @@ def _twist_axioms(cfg: RunConfig, bundle: ReportBundle):
 
 def _twist_infinite(cfg: RunConfig, bundle: ReportBundle):
     f = _load_profile(cfg.params["profile"])
-    rep = pfh.infinite_twist_experiment(
-        f, imax=int(cfg.params.get("imax", 20)), dmax=int(cfg.params.get("dmax", 32))
-    )
+    rep = pfh.infinite_twist_experiment(f, imax=cfg.params["imax"], dmax=cfg.params["dmax"])
     rows = []
     for r in rep["rows"]:
         for d, ratio in sorted(r["ratios"].items()):
@@ -305,7 +291,7 @@ def _twist_infinite(cfg: RunConfig, bundle: ReportBundle):
 
 def _partitions(cfg: RunConfig, bundle: ReportBundle):
     theta = parse_rotation(str(cfg.params["theta"]))
-    m = int(cfg.params["m"])
+    m = cfg.params["m"]
     pp = partition_positive(theta, m)
     pn = partition_negative(theta, m)
     bundle.add_table("partitions", ["side", "parts"], [("positive", " ".join(map(str, pp.parts))),
@@ -343,8 +329,7 @@ def _score(cfg: RunConfig, bundle: ReportBundle):
 def _tower(cfg: RunConfig, bundle: ReportBundle):
     with open(cfg.params["input"]) as fh:
         t = tower_from_json(json.load(fh))
-    threshold = cfg.params.get("threshold", 0.1)
-    rep = tower_audit(t, threshold)
+    rep = tower_audit(t, cfg.params["threshold"])
     bundle.add_table(
         "tower_audit",
         ["n", "score_telescoping", "action_telescoping", "total_index", "high_action", "t_positive"],
@@ -434,10 +419,41 @@ def _selftest(cfg: RunConfig, bundle: ReportBundle):
     bundle.add_table("twist_cd", ["d", "c_d", "ratio"], rows)
 
 
+# -- command table ------------------------------------------------------------
+
+_REQUIRED = ...  # the default of a flag that has none
+_ELLIPSOID = (("a", parse_number, _REQUIRED), ("b", parse_number, _REQUIRED))
+_PROFILE = (("profile", str, _REQUIRED),)
+
+# command -> (handler, flags); a flag is (name, type, default), and a bool
+# flag is a switch.  A dotted command is the subcommand of a group.
+COMMANDS = {
+    "ellipsoid.census": (_ellipsoid_census, _ELLIPSOID + (("L", parse_number, 10.0),)),
+    "ellipsoid.spectrum": (_ellipsoid_spectrum, _ELLIPSOID + (
+        ("L", parse_number, 10.0), ("count", int, None), ("formal", bool, False), ("cap", int, el.SPECTRUM_CAP))),
+    "ellipsoid.weyl": (_ellipsoid_weyl, _ELLIPSOID + (
+        ("kmax", int, 10**5), ("formal", bool, False), ("tol", parse_number, 0.02))),
+    "ellipsoid.return-map": (_ellipsoid_return_map, _ELLIPSOID + (("points", int, 100),)),
+    "ellipsoid.identity-check": (_ellipsoid_identity, _ELLIPSOID),
+    "twist.calabi": (_twist_calabi, _PROFILE),
+    "twist.census": (_twist_census, _PROFILE + (("d", int, 4),)),
+    "twist.complex": (_twist_complex, _PROFILE + (("d", int, 4), ("cap", int, pfh.GENERATOR_CAP))),
+    "twist.cd": (_twist_cd, _PROFILE + (("d", int, 16),)),
+    "twist.axioms": (_twist_axioms, _PROFILE + (("profile2", str, None), ("dmax", int, 128))),
+    "twist.infinite": (_twist_infinite, _PROFILE + (("imax", int, 20), ("dmax", int, 32))),
+    "partitions": (_partitions, (("theta", str, _REQUIRED), ("m", int, _REQUIRED))),
+    "score": (_score, (("input", str, _REQUIRED),)),
+    "tower": (_tower, (("input", str, _REQUIRED), ("threshold", parse_number, 0.1))),
+    "selftest": (_selftest, ()),
+}
+
+
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of COMMANDS, built on first use and then reused."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None)
@@ -446,54 +462,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=str, default=None, help="JSON file of parameter overrides")
 
     parser = _Parser(prog="echlab", description=__doc__)
-    sub = parser.add_subparsers(dest="group")
-
-    ell = sub.add_parser("ellipsoid").add_subparsers(dest="cmd")
-    for name in ("census", "spectrum", "weyl", "return-map", "identity-check"):
-        p = ell.add_parser(name, parents=[common])
-        p.add_argument("--a", type=parse_number, required=True)
-        p.add_argument("--b", type=parse_number, required=True)
-        if name == "census":
-            p.add_argument("--L", type=parse_number, default=10.0)
-        if name == "spectrum":
-            p.add_argument("--L", type=parse_number, default=None)
-            p.add_argument("--count", type=int, default=None)
-            p.add_argument("--formal", action="store_true")
-            p.add_argument("--cap", type=int, default=None)
-        if name == "weyl":
-            p.add_argument("--kmax", type=int, default=10**5)
-            p.add_argument("--formal", action="store_true")
-            p.add_argument("--tol", type=parse_number, default=None)
-        if name == "return-map":
-            p.add_argument("--points", type=int, default=100)
-
-    tw = sub.add_parser("twist").add_subparsers(dest="cmd")
-    for name in ("calabi", "census", "complex", "cd", "axioms", "infinite"):
-        p = tw.add_parser(name, parents=[common])
-        p.add_argument("--profile", type=str, required=True)
-        if name in ("census", "complex", "cd"):
-            p.add_argument("--d", type=int, default=4 if name != "cd" else 16)
-        if name == "complex":
-            p.add_argument("--cap", type=int, default=None)
-        if name == "axioms":
-            p.add_argument("--profile2", type=str, default=None)
-            p.add_argument("--dmax", type=int, default=128)
-        if name == "infinite":
-            p.add_argument("--imax", type=int, default=20)
-            p.add_argument("--dmax", type=int, default=32)
-
-    p = sub.add_parser("partitions", parents=[common])
-    p.add_argument("--theta", type=str, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("score", parents=[common])
-    p.add_argument("--input", type=str, required=True)
-
-    p = sub.add_parser("tower", parents=[common])
-    p.add_argument("--input", type=str, required=True)
-    p.add_argument("--threshold", type=parse_number, default=0.1)
-
-    sub.add_parser("selftest", parents=[common])
+    top = parser.add_subparsers(required=True)
+    groups = {}
+    for command, (_, flags) in COMMANDS.items():
+        group, _, name = command.rpartition(".")
+        if group and group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(required=True)
+        p = (groups[group] if group else top).add_parser(name, parents=[common])
+        p.set_defaults(command=command)
+        for flag, kind, default in flags:
+            if kind is bool:
+                p.add_argument(f"--{flag}", action="store_true")
+            else:
+                p.add_argument(f"--{flag}", type=kind, default=default, required=default is _REQUIRED)
     return parser
 
 
@@ -507,20 +488,13 @@ def _config_flags(path: str) -> list:
 
 
 def config_from_args(args) -> RunConfig:
-    group = args.group
-    if group is None:
-        raise UsageError("no subcommand given")
-    command = group if group in ("partitions", "score", "tower", "selftest") else f"{group}.{getattr(args, 'cmd', None)}"
-    if command.endswith("None"):
-        raise UsageError(f"missing subcommand for {group!r}")
     # before Python 3.12, argparse drops the value of "--flag=--" and stores []
     if [] in vars(args).values() or [] in (args.formats or ()):
         raise UsageError("an option given as --flag=-- has no value")
-    skip = {"group", "cmd", "seed", "out", "formats", "config"}
-    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    skip = {"command", "seed", "out", "formats", "config"}
     return RunConfig(
-        command=command,
-        params=params,
+        command=args.command,
+        params={k: v for k, v in vars(args).items() if k not in skip},
         seed=args.seed,
         out=args.out,
         formats=tuple(args.formats) if args.formats else ("csv", "json"),
@@ -532,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):  # its keys are flags given after the command line's own
+        if args.config:  # its keys are flags given after the command line's own
             args = parser.parse_args(argv + _config_flags(args.config))
         config = config_from_args(args)
         bundle = run(config)

@@ -18,6 +18,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 CENSUS_CAP = 100_000  # torus families one census may list
+SPECTRUM_CAP = 10**7  # default bound on the entries one spectrum may list
 
 
 class ResourceCapError(RuntimeError):
@@ -33,8 +34,9 @@ def _detect_rational(x: float) -> Optional[Fraction]:
     """
     cand = Fraction(x).limit_denominator(10**6)
     # a float that truly encodes p/q (q <= 1e6) is off by storage rounding
-    # only (~1e-16); irrational best approximants sit orders of magnitude higher
-    if abs(float(cand) - x) <= 1e-14 * max(1.0, abs(x)):
+    # only (~1e-16 relative); irrational best approximants sit orders of
+    # magnitude higher.  A nonzero x is never the rational 0.
+    if cand and abs(float(cand) - x) <= 1e-14 * abs(x):
         return cand
     return None
 
@@ -154,7 +156,7 @@ def spectrum_values(
     L: Optional[float] = None,
     count: Optional[int] = None,
     formal: bool = False,
-    cap: int = 10**7,
+    cap: int = SPECTRUM_CAP,
 ) -> List[Tuple[float, int, int]]:
     """Sorted values m*a + n*b with (m, n) witnesses, by bounded-heap enumeration.
 

@@ -41,6 +41,7 @@ from .twist import (
 TWO_PI = 2.0 * math.pi
 VALIDATE_MAX_DEGREE = 8  # spectral_invariant_cd validates the complex by default up to here
 HOFER_GRID = 2048  # hofer_distance_bound samples the radii j / HOFER_GRID
+GENERATOR_CAP = 200_000  # default bound on the generators one complex may enumerate
 
 
 class CalibrationError(RuntimeError):
@@ -64,7 +65,7 @@ class TwistComplex:
     increasing id order and is its own key in ``index``.
     """
 
-    def __init__(self, profile: TwistProfile, degree: int, generator_cap: int = 200_000):
+    def __init__(self, profile: TwistProfile, degree: int, generator_cap: int = GENERATOR_CAP):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.profile = profile
@@ -353,7 +354,7 @@ def radial_staircase_value(profile: TwistProfile, d: int) -> float:
 
 
 def build_complex(
-    profile: TwistProfile, d: int, generator_cap: int = 200_000
+    profile: TwistProfile, d: int, generator_cap: int = GENERATOR_CAP
 ) -> TwistComplex:
     """Construct the filtered complex (requires a compactly supported profile)."""
     if not profile.support_flag:

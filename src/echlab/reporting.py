@@ -8,6 +8,7 @@ indented, and nothing records wall-clock time.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,8 +46,8 @@ def _jsonable(v):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, float) and v != v:
-        return "nan"
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)  # "nan", "inf" or "-inf": strict JSON has no such numbers
     return v
 
 

@@ -3,14 +3,18 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from echlab import pfh
+from echlab import cli, pfh
 from echlab.cli import RunConfig, UsageError, main, parse_number, run
 from echlab.reporting import Table
 from echlab.svgplot import emit_svg
-from echlab.twist import TwistProfile, linear_profile
+from echlab.twist import TwistProfile, linear_profile, periodic_census
+
+PROFILES = os.path.join(os.path.dirname(__file__), os.pardir, "profiles")
 
 
 def test_parse_number():
@@ -30,6 +34,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bogus-subcommand"]) == 2
     assert main([]) == 2
+    assert main(["ellipsoid", "spectrum", "--a", "1e-20", "--b", "1", "--count", "3"]) == 0  # not the rational 0
 
 
 def test_ellipsoid_weyl_bundle(tmp_path):
@@ -370,3 +375,39 @@ def test_svg_log_axes():
     t = Table(("k", "dev"), [(10, 0.1), (100, 0.01), (1000, 0.001)])
     svg = emit_svg(t, "k", ["dev"], logx=True, logy=True)
     assert svg.count("polyline") == 1
+
+
+def test_infinite_values_are_strict_json(capsys):
+    # a divergent Calabi value is reported as the string "inf", not the non-JSON token Infinity
+    assert main(["twist", "calabi", "--profile", os.path.join(PROFILES, "cubic_singular.json")]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["tables"]["calabi"]["rows"] == [["inf", "inf"]]
+
+
+def test_twist_census_runs_at_d4_by_default(capsys):
+    profile = os.path.join(PROFILES, "linear_cal.json")
+    assert main(["twist", "census", "--profile", profile]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["manifest"]["config"]["d"] == 4
+    with open(profile) as fh:
+        levels = periodic_census(TwistProfile.from_json(json.load(fh)), 4)
+    assert [row[:2] for row in doc["tables"]["twist_census"]["rows"]] == [[c.p, c.q] for c in levels]
+    # a direct run fills in the same defaults as the command line
+    assert run(RunConfig("twist.census", {"profile": profile})).to_json() == out
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    argv = ["partitions", "--theta", "1/3", "--m", "2"]
+    assert main(argv) == 0 and main(argv) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    # and not at import, so importing echlab.cli does not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = f"import sys; sys.path.insert(0, {src!r}); import echlab.cli as c; print(c.build_parser.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -12,6 +12,7 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from echlab import cli
 from echlab.cli import main
 
 PROFILE = os.path.join(os.path.dirname(__file__), os.pardir, "profiles", "linear_cal.json")
@@ -51,13 +52,16 @@ number_texts = st.one_of(
     st.text(alphabet="0123456789+-./eEinfatsqrpgoldn_ ", max_size=8),
 )
 
-# (argv with {} where the number goes); each is cheap for every finite value
+# (argv with {} where the number goes and {tower} for a valid tower file);
+# each is cheap for every finite value
 NUMBER_FLAGS = [
     ["ellipsoid", "census", "--a={}", "--b", "sqrt2"],
+    ["ellipsoid", "census", "--a", "1", "--b={}"],
     ["ellipsoid", "census", "--a", "1", "--b", "2", "--L={}"],
     ["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--L={}", "--cap", "1000"],
     ["ellipsoid", "weyl", "--a", "1", "--b", "sqrt2", "--kmax", "50", "--tol={}"],
     ["partitions", "--theta={}", "--m", "3"],
+    ["tower", "--input", "{tower}", "--threshold={}"],
 ]
 
 
@@ -100,6 +104,15 @@ def test_malformed_documents_keep_the_exit_contract(tmp_path, capsys, data):
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(NUMBER_FLAGS), number_texts)
-def test_malformed_numbers_keep_the_exit_contract(capsys, argv, text):
-    code = main([a.format(text) for a in argv])
+def test_malformed_numbers_keep_the_exit_contract(tmp_path, capsys, argv, text):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"orbits": _ORBITS, "curves": [_CURVE]}))
+    code = main([a.format(text, tower=tower) for a in argv])
     _assert_contract(code, capsys.readouterr().err)
+
+
+def test_every_number_flag_is_fuzzed():
+    # a flag the command table parses with parse_number must have a NUMBER_FLAGS entry
+    fuzzed = {a.split("=")[0] for argv in NUMBER_FLAGS for a in argv if a.endswith("={}")}
+    typed = {f"--{name}" for _, flags in cli.COMMANDS.values() for name, kind, _ in flags if kind is cli.parse_number}
+    assert typed and typed <= fuzzed, typed - fuzzed

@@ -30,6 +30,13 @@ def test_rationality_detection():
     assert not Ellipsoid(1.0, SQRT2).is_rational
     assert not Ellipsoid(1.0, 1 / SQRT2).is_rational
     assert Ellipsoid(1.5, 4.5).ratio_rational == Fraction(1, 3)
+    # the tolerance is relative: a tiny ratio is not the rational 0, and a
+    # small ratio that is rational is still found
+    assert Ellipsoid(1e-20, 1.0).ratio_rational is None
+    assert Ellipsoid(1e-200, 1e200).ratio_rational is None  # the ratio underflows to 0.0
+    assert Ellipsoid(1.0, 7.0).ratio_rational == Fraction(1, 7)
+    assert Ellipsoid(1e-3, 1.0).ratio_rational == Fraction(1, 1000)
+    assert Ellipsoid(3e-6, 1.0).ratio_rational == Fraction(3, 1000000)
 
 
 def test_flow_identity_and_substitution():
