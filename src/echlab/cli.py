@@ -142,11 +142,15 @@ def _ellipsoid_census(cfg: RunConfig, bundle: ReportBundle):
 
 def _ellipsoid_spectrum(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
-    count = cfg.params["count"]  # when given, it replaces the action bound L
+    L, count = cfg.params["L"], cfg.params["count"]  # one bound or the other, L = 10 when neither
+    if L is not None and count is not None:
+        raise UsageError("give --L or --count, not both")
     if count is not None and count < 1:
         raise UsageError(f"spectrum count must be at least 1, got {count}")
-    values = el.spectrum_values(e, L=None if count is not None else float(cfg.params["L"]), count=count,
-                                formal=cfg.params["formal"], cap=cfg.params["cap"])
+    if count is None:
+        L = 10.0 if L is None else float(L)
+        bundle.manifest["config"]["L"] = L  # the bound used, also when it is the default
+    values = el.spectrum_values(e, L=L, count=count, formal=cfg.params["formal"], cap=cfg.params["cap"])
     bundle.add_table(
         "spectrum",
         ["k", "c_k", "grading", "m", "n"],
@@ -430,7 +434,7 @@ _PROFILE = (("profile", str, _REQUIRED),)
 COMMANDS = {
     "ellipsoid.census": (_ellipsoid_census, _ELLIPSOID + (("L", parse_number, 10.0),)),
     "ellipsoid.spectrum": (_ellipsoid_spectrum, _ELLIPSOID + (
-        ("L", parse_number, 10.0), ("count", int, None), ("formal", bool, False), ("cap", int, el.SPECTRUM_CAP))),
+        ("L", parse_number, None), ("count", int, None), ("formal", bool, False), ("cap", int, el.SPECTRUM_CAP))),
     "ellipsoid.weyl": (_ellipsoid_weyl, _ELLIPSOID + (
         ("kmax", int, 10**5), ("formal", bool, False), ("tol", parse_number, 0.02))),
     "ellipsoid.return-map": (_ellipsoid_return_map, _ELLIPSOID + (("points", int, 100),)),

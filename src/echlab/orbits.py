@@ -112,12 +112,15 @@ class OrbitSet:
 
     def __init__(self, entries: Iterable[Tuple[SimpleOrbit, int]] = ()):
         by_label: Dict[str, Tuple[SimpleOrbit, int]] = {}
-        for orbit, mult in entries:
+        for entry in entries:
+            orbit, mult = entry
             if mult < 1:
                 raise StructuralError(f"multiplicity must be >= 1, got {mult} at {orbit.label}")
             if orbit.label in by_label:
                 raise StructuralError(f"duplicate orbit id {orbit.label!r}")
-            by_label[orbit.label] = (orbit, mult)
+            # an exact tuple is immutable and kept, so callers can share one pair
+            # across sets; anything else is packed, so it never aliases this set
+            by_label[orbit.label] = entry if type(entry) is tuple else (orbit, mult)
         items = self._items = tuple(by_label[k] for k in sorted(by_label))
         if all(isinstance(o.action, Fraction) for o, _ in items):
             common = math.lcm(*(o.action.denominator for o, _ in items))
@@ -182,9 +185,13 @@ def is_ech_generator(alpha: OrbitSet) -> bool:
     return all(m == 1 for o, m in alpha.items() if o.is_hyperbolic)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveEnds:
-    """Ends of the nontrivial component at one orbit, plus trivial-cylinder coverage."""
+    """Ends of the nontrivial component at one orbit, plus trivial-cylinder coverage.
+
+    Immutable and slotted, so one record can be shared by every curve that
+    has these ends (``sampling`` does so).
+    """
 
     orbit_label: str
     multiplicities: Tuple[int, ...]
@@ -508,23 +515,26 @@ def orbit_set_from_json(d: dict) -> OrbitSet:
     return OrbitSet((pool[label], mult) for label, mult in _entries(d, "entries"))
 
 
-def curve_to_json(c: CurveData) -> dict:
-    def ends(side):
-        return [
-            {"orbit": e.orbit_label, "multiplicities": list(e.multiplicities), "c0": e.c0_present}
-            for e in side
-        ]
+def _ends_to_json(side: Tuple[CurveEnds, ...]) -> list:
+    return [{"orbit": e.orbit_label, "multiplicities": list(e.multiplicities), "c0": e.c0_present}
+            for e in side]
 
-    labels = {o.label: o for o, _ in c.alpha.items() + c.beta.items()}
+
+def _curve_body(c: CurveData) -> dict:
+    """A curve record without its orbit list, which a tower document holds once for all curves."""
     return {
         "genus": c.genus,
         "c_tau": c.c_tau,
-        "orbits": [orbit_to_json(labels[k]) for k in sorted(labels)],
         "alpha": [[o.label, m] for o, m in c.alpha.items()],
         "beta": [[o.label, m] for o, m in c.beta.items()],
-        "positive_ends": ends(c.positive_ends),
-        "negative_ends": ends(c.negative_ends),
+        "positive_ends": _ends_to_json(c.positive_ends),
+        "negative_ends": _ends_to_json(c.negative_ends),
     }
+
+
+def curve_to_json(c: CurveData) -> dict:
+    labels = {o.label: o for o, _ in c.alpha.items() + c.beta.items()}
+    return {"orbits": [orbit_to_json(labels[k]) for k in sorted(labels)], **_curve_body(c)}
 
 
 def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> CurveData:
@@ -550,12 +560,8 @@ def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> C
 
 def tower_to_json(t: Tower) -> dict:
     labels = {o.label: o for c in t.curves for o, _ in c.alpha.items() + c.beta.items()}
-    curves = []
-    for c in t.curves:
-        d = curve_to_json(c)
-        d.pop("orbits")
-        curves.append(d)
-    return {"orbits": [orbit_to_json(labels[k]) for k in sorted(labels)], "curves": curves}
+    return {"orbits": [orbit_to_json(labels[k]) for k in sorted(labels)],
+            "curves": [_curve_body(c) for c in t.curves]}
 
 
 def tower_from_json(d: dict) -> Tower:

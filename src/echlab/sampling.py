@@ -60,15 +60,26 @@ def orbit_pool(rng: random.Random) -> List[SimpleOrbit]:
     return pool
 
 
-def random_orbit_set(rng: random.Random, pool: Sequence[SimpleOrbit]) -> OrbitSet:
-    """A random admissible generator: hyperbolic entries stay at multiplicity 1."""
-    chosen = rng.sample(range(len(pool)), rng.randint(1, SET_MAX_ORBITS))
-    entries = []
+Entries = Tuple[Tuple[SimpleOrbit, int], ...]
+
+
+def pool_entries(pool: Sequence[SimpleOrbit]) -> List[Entries]:
+    """Per pool orbit, its admissible (orbit, mult) entries in order of mult:
+    mult 1 alone for a hyperbolic orbit, 1 to SET_MAX_MULT for an elliptic one."""
+    return [((o, 1),) if o.is_hyperbolic else tuple((o, m) for m in range(1, SET_MAX_MULT + 1))
+            for o in pool]
+
+
+def random_orbit_set(rng: random.Random, entries: Sequence[Entries]) -> OrbitSet:
+    """A random admissible generator over a pool's ``pool_entries``: hyperbolic
+    entries stay at multiplicity 1.  The sets share the entry pairs."""
+    chosen = rng.sample(range(len(entries)), rng.randint(1, SET_MAX_ORBITS))
+    picked = []
     for i in chosen:
-        orbit = pool[i]
-        mult = 1 if orbit.is_hyperbolic else rng.randint(1, SET_MAX_MULT)
-        entries.append((orbit, mult))
-    return OrbitSet(entries)
+        by_mult = entries[i]
+        mult = 1 if by_mult[0][0].is_hyperbolic else rng.randint(1, SET_MAX_MULT)
+        picked.append(by_mult[mult - 1])
+    return OrbitSet(picked)
 
 
 @lru_cache(maxsize=64)
@@ -83,6 +94,13 @@ def _splits(n: int) -> tuple:
     return tuple(sorted(out))
 
 
+# one record per (pool label, partition of 1..SET_MAX_MULT, c0 flag): 12 * 18 * 2
+@lru_cache(maxsize=POOL_SIZE * 18 * 2)
+def _shared_ends(label: str, parts: Tuple[int, ...], c0_present: bool) -> CurveEnds:
+    """The one CurveEnds of this record, checked once and shared by every curve that has it."""
+    return CurveEnds(label, parts, c0_present)
+
+
 def _random_ends(
     rng: random.Random, endpoint: OrbitSet
 ) -> Tuple[CurveEnds, ...]:
@@ -94,14 +112,15 @@ def _random_ends(
             continue  # orbit fully covered by trivial cylinders
         options = _splits(c1)
         parts = options[rng.randrange(len(options))]
-        out.append(CurveEnds(orbit.label, parts, c0_present=c1 < mult))
+        out.append(_shared_ends(orbit.label, parts, c1 < mult))
     return tuple(out)
 
 
 def random_tower(rng: random.Random, n: int) -> Tower:
     """A structurally valid tower of n curves with exact Fraction actions."""
     pool = orbit_pool(rng)
-    sets = [random_orbit_set(rng, pool) for _ in range(n + 1)]
+    entries = pool_entries(pool)
+    sets = [random_orbit_set(rng, entries) for _ in range(n + 1)]
     # sort on the exact integers action * L, with L the LCM of the pool's denominators
     common = math.lcm(*(o.action.denominator for o in pool))
     sets.sort(key=lambda s: s.action.numerator * (common // s.action.denominator), reverse=True)

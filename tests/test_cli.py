@@ -37,6 +37,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["ellipsoid", "spectrum", "--a", "1e-20", "--b", "1", "--count", "3"]) == 0  # not the rational 0
 
 
+def test_spectrum_bound_is_L_or_count(capsys):
+    # giving both is a usage error, in test_complex_cap_error_exits_2
+    argv = ["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2"]
+    assert main(argv + ["--count", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["tables"]["spectrum"]["rows"]) == 5 and "L" not in doc["manifest"]["config"]
+    assert main(argv) == 0  # neither: the action bound L = 10
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["tables"]["spectrum"]["rows"]) == 45 and doc["manifest"]["config"]["L"] == 10.0
+    assert main(argv + ["--L", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["tables"]["spectrum"]["rows"]) == 7 and doc["manifest"]["config"]["L"] == 3.0
+
+
 def test_ellipsoid_weyl_bundle(tmp_path):
     cfg = RunConfig("ellipsoid.weyl", {"a": 1.0, "b": math.sqrt(2), "kmax": 3000, "tol": 0.05}, out=str(tmp_path))
     bundle = run(cfg)
@@ -95,6 +109,8 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
          "integer; pass an exact rational p/q\n"),
         (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--count", "0"],
          "error: spectrum count must be at least 1, got 0"),
+        (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--count", "5", "--L", "3"],
+         "error: give --L or --count, not both"),
         (["ellipsoid", "census", "--a", "1", "--b", "2", "--L", "1e300"],
          "error: census would list more than 100000 torus families"),
         (["ellipsoid", "census", "--a", "1", "--b", "2", "--L=--"], "error: an option given as --flag=-- has no value"),
@@ -323,11 +339,11 @@ def test_score_and_tower_commands(tmp_path, capsys):
     import random
 
     from echlab.orbits import orbit_set_to_json, tower_to_json
-    from echlab.sampling import orbit_pool, random_orbit_set, random_tower
+    from echlab.sampling import orbit_pool, pool_entries, random_orbit_set, random_tower
 
     rng = random.Random(3)
     pool = orbit_pool(rng)
-    sets = orbit_set_to_json(random_orbit_set(rng, pool))
+    sets = orbit_set_to_json(random_orbit_set(rng, pool_entries(pool)))
     spath = tmp_path / "set.json"
     spath.write_text(json.dumps(sets))
     assert main(["score", "--input", str(spath)]) == 0

@@ -37,7 +37,7 @@ from echlab.orbits import (
     tower_to_json,
 )
 from echlab.rotations import DegenerateRotationError, Rotation
-from echlab.sampling import random_tower
+from echlab.sampling import POOL_SIZE, random_tower
 
 
 def orb(label, action, num, den=1, kind=ELLIPTIC, period=1):
@@ -413,3 +413,41 @@ def test_random_tower_stream_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f85608e4d0f8dea8d4913065ca57a6e5bfc4b7b60898311d8213c2a0b2cca985"
     )
+
+
+def test_random_tower_shares_curve_ends():
+    t = random_tower(random.Random(31415), 1000)
+    ends = [e for c in t.curves for side in (c.positive_ends, c.negative_ends) for e in side]
+    distinct = {id(e) for e in ends}
+    # one object per distinct record: pool labels x partitions of 1..5 (18) x c0 flag
+    assert len(distinct) == len(set(ends)) <= POOL_SIZE * 18 * 2 == 432
+    assert len(ends) > 10 * len(distinct)
+
+
+def test_curve_ends_are_slotted_and_frozen():
+    e = CurveEnds("a", (2, 1), True)
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.c0_present = False
+    with pytest.raises((AttributeError, TypeError)):  # Python 3.11's frozen slotted __setattr__ raises TypeError
+        e.note = "x"
+    assert (e.total, e.count) == (3, 2)
+
+
+def test_orbit_set_keeps_tuple_entries_and_packs_the_rest():
+    entry = [GAMMA_A, 2]
+    s = OrbitSet([entry])
+    assert s.items() == ((GAMMA_A, 2),) and type(s.items()[0]) is tuple
+    entry[1] = 5  # the caller's list does not alias the set
+    assert s.multiplicity("a") == 2 and s.items() == ((GAMMA_A, 2),)
+    pair = (GAMMA_B, 3)
+    assert OrbitSet([pair, (GAMMA_A, 1)]).items()[1] is pair  # an exact tuple is shared, not copied
+
+
+def test_tower_with_shared_parts_roundtrips_equal():
+    t = random_tower(random.Random(31415), 300)
+    doc = tower_to_json(t)
+    t2 = tower_from_json(json.loads(json.dumps(doc)))
+    assert t2 == t
+    assert tower_to_json(t2) == doc
+    assert [(c.action, c.j0) for c in t2.curves] == [(c.action, c.j0) for c in t.curves]
