@@ -122,18 +122,28 @@ class OrbitSet:
             # across sets; anything else is packed, so it never aliases this set
             by_label[orbit.label] = entry if type(entry) is tuple else (orbit, mult)
         items = self._items = tuple(by_label[k] for k in sorted(by_label))
-        if all(isinstance(o.action, Fraction) for o, _ in items):
-            common = math.lcm(*(o.action.denominator for o, _ in items))
-            self._action = Fraction(sum(m * o.action.numerator * (common // o.action.denominator)
-                                        for o, m in items), common)
-        else:
-            self._action = float(sum((m * o.action for o, m in items), Fraction(0)))
+        # one pass: the exact action as an integer numerator over the running
+        # LCM of the denominators seen, and the cover sums
+        num, common, exact = 0, 1, True
         cz_top = score = k = 0
         for o, m in items:
+            if exact and isinstance(o.action, Fraction):
+                den = o.action.denominator
+                if common % den:
+                    lcm = math.lcm(common, den)
+                    num *= lcm // common
+                    common = lcm
+                num += m * o.action.numerator * (common // den)
+            else:
+                exact = False
             cover = o.cover(m)
             cz_top += cover.cz
             score += cover.score
             k -= m > 1
+        if exact:
+            self._action = Fraction(num, common)
+        else:
+            self._action = float(sum((m * o.action for o, m in items), Fraction(0)))
         self._cz_top, self._score, self._k = cz_top, score, k
 
     def items(self) -> Tuple[Tuple[SimpleOrbit, int], ...]:
@@ -196,20 +206,19 @@ class CurveEnds:
     orbit_label: str
     multiplicities: Tuple[int, ...]
     c0_present: bool
+    total: int = field(init=False, repr=False, compare=False)  # sum of the multiplicities
+    count: int = field(init=False, repr=False, compare=False)  # number of ends
 
     def __post_init__(self):
         if not self.multiplicities:
             raise StructuralError(f"ends record at {self.orbit_label} lists no end")
         if min(self.multiplicities) < 1:
             raise StructuralError(f"end multiplicities must be positive at {self.orbit_label}")
+        object.__setattr__(self, "total", sum(self.multiplicities))
+        object.__setattr__(self, "count", len(self.multiplicities))
 
-    @property
-    def total(self) -> int:
-        return sum(self.multiplicities)
 
-    @property
-    def count(self) -> int:
-        return len(self.multiplicities)
+_ZERO = Fraction(0)  # the action of every zero-action exact curve, shared
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,14 +249,17 @@ class CurveData:
     def __post_init__(self):
         if self.genus < 0:
             raise StructuralError("genus must be nonnegative")
-        object.__setattr__(self, "positive_ends", tuple(self.positive_ends))
-        object.__setattr__(self, "negative_ends", tuple(self.negative_ends))
+        if type(self.positive_ends) is not tuple:
+            object.__setattr__(self, "positive_ends", tuple(self.positive_ends))
+        if type(self.negative_ends) is not tuple:
+            object.__setattr__(self, "negative_ends", tuple(self.negative_ends))
         self._check_side(self.positive_ends, self.alpha, "positive")
         self._check_side(self.negative_ends, self.beta, "negative")
         act = self.alpha.action - self.beta.action
-        if act < 0:
+        exact = type(act) is Fraction  # then the numerator's sign, without Fraction's ordering
+        if (act.numerator if exact else act) < 0:
             raise StructuralError(f"curve action must be nonnegative, got {act}")
-        object.__setattr__(self, "action", act)
+        object.__setattr__(self, "action", _ZERO if exact and not act.numerator else act)
         e = sum(2 * ends.count - (0 if ends.c0_present else 1)
                 for side in (self.positive_ends, self.negative_ends) for ends in side)
         object.__setattr__(self, "j0", -2 + 2 * self.genus + e)
@@ -510,8 +522,24 @@ def orbit_set_to_json(alpha: OrbitSet) -> dict:
     }
 
 
+def _orbit_pool(orbits: list, tower: Optional[Dict[str, SimpleOrbit]] = None) -> Dict[str, SimpleOrbit]:
+    """The orbit records of one ``orbits`` list by label, over a tower's pool when given.
+
+    A label listed twice in the list, or an orbit that differs from the
+    tower's orbit of its label, is a StructuralError.
+    """
+    own: Dict[str, SimpleOrbit] = {}
+    for o in map(orbit_from_json, orbits):
+        if o.label in own:
+            raise StructuralError(f"orbit label {o.label!r} is listed twice")
+        if tower and tower.get(o.label, o) != o:
+            raise StructuralError(f"orbit {o.label!r} conflicts with the tower's orbit of that label")
+        own[o.label] = o
+    return {**own, **tower} if tower else own
+
+
 def orbit_set_from_json(d: dict) -> OrbitSet:
-    pool = {o.label: o for o in map(orbit_from_json, _array(_record(d, "orbit-set document"), "orbits"))}
+    pool = _orbit_pool(_array(_record(d, "orbit-set document"), "orbits"))
     return OrbitSet((pool[label], mult) for label, mult in _entries(d, "entries"))
 
 
@@ -537,25 +565,53 @@ def curve_to_json(c: CurveData) -> dict:
     return {"orbits": [orbit_to_json(labels[k]) for k in sorted(labels)], **_curve_body(c)}
 
 
-def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> CurveData:
-    local = dict(pool or {})
-    for orbit in map(orbit_from_json, _array(_record(d, "curve record"), "orbits", optional=True)):
-        local.setdefault(orbit.label, orbit)
+def _ends_from_json(d: dict, key: str, shared: Dict[tuple, CurveEnds]) -> Tuple[CurveEnds, ...]:
+    """The ends records d[key]; ``shared`` holds the one CurveEnds of each record its document has
+    listed so far.  A c0 that is not a JSON boolean is not shared: as a key, 1 would be True."""
+    records = [_record(e, "ends record") for e in _array(d, key, optional=True)]
+    side = []
+    for e in records:
+        record = (_string(e["orbit"], "orbit"),
+                  tuple(_integer(m, "multiplicities") for m in _array(e, "multiplicities")), e["c0"])
+        if type(record[2]) is not bool:
+            side.append(CurveEnds(*record))
+            continue
+        ends = shared.get(record)
+        if ends is None:
+            ends = shared[record] = CurveEnds(*record)
+        side.append(ends)
+    return tuple(side)
 
-    def ends(key):
-        records = [_record(e, "ends record") for e in _array(d, key, optional=True)]
-        return tuple(CurveEnds(_string(e["orbit"], "orbit"),
-                               tuple(_integer(m, "multiplicities") for m in _array(e, "multiplicities")),
-                               e["c0"]) for e in records)
+
+def _curve_from_json(d: dict, pool: Dict[str, SimpleOrbit], shared: dict, sets: dict) -> CurveData:
+    """A curve record of a document whose orbits are ``pool``.  ``shared`` holds the document's
+    CurveEnds by record, and ``sets`` its OrbitSets by entries list for curves that read their
+    orbits from ``pool`` alone, so one curve's beta is the next one's alpha when the lists agree."""
+    own = _array(_record(d, "curve record"), "orbits", optional=True)
+    local = _orbit_pool(own, pool) if own else pool
+
+    def orbit_set(key):
+        entries = _entries(d, key)
+        if local is not pool:
+            return OrbitSet((local[label], m) for label, m in entries)
+        memo = tuple(map(tuple, entries))
+        s = sets.get(memo)
+        if s is None:
+            s = sets[memo] = OrbitSet((local[label], m) for label, m in entries)
+        return s
 
     return CurveData(
         genus=_integer(d["genus"], "genus"),
-        positive_ends=ends("positive_ends"),
-        negative_ends=ends("negative_ends"),
-        alpha=OrbitSet((local[l], m) for l, m in _entries(d, "alpha")),
-        beta=OrbitSet((local[l], m) for l, m in _entries(d, "beta")),
+        positive_ends=_ends_from_json(d, "positive_ends", shared),
+        negative_ends=_ends_from_json(d, "negative_ends", shared),
+        alpha=orbit_set("alpha"),
+        beta=orbit_set("beta"),
         c_tau=_integer(d.get("c_tau", 0), "c_tau"),
     )
+
+
+def curve_from_json(d: dict) -> CurveData:
+    return _curve_from_json(d, {}, {}, {})
 
 
 def tower_to_json(t: Tower) -> dict:
@@ -565,5 +621,6 @@ def tower_to_json(t: Tower) -> dict:
 
 
 def tower_from_json(d: dict) -> Tower:
-    pool = {o.label: o for o in map(orbit_from_json, _array(_record(d, "tower document"), "orbits"))}
-    return Tower([curve_from_json(c, pool) for c in _array(d, "curves")])
+    pool = _orbit_pool(_array(_record(d, "tower document"), "orbits"))
+    shared, sets = {}, {}
+    return Tower([_curve_from_json(c, pool, shared, sets) for c in _array(d, "curves")])

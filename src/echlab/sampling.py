@@ -73,12 +73,11 @@ def pool_entries(pool: Sequence[SimpleOrbit]) -> List[Entries]:
 def random_orbit_set(rng: random.Random, entries: Sequence[Entries]) -> OrbitSet:
     """A random admissible generator over a pool's ``pool_entries``: hyperbolic
     entries stay at multiplicity 1.  The sets share the entry pairs."""
-    chosen = rng.sample(range(len(entries)), rng.randint(1, SET_MAX_ORBITS))
+    chosen = rng.sample(range(len(entries)), 1 + rng.randrange(SET_MAX_ORBITS))
     picked = []
     for i in chosen:
         by_mult = entries[i]
-        mult = 1 if by_mult[0][0].is_hyperbolic else rng.randint(1, SET_MAX_MULT)
-        picked.append(by_mult[mult - 1])
+        picked.append(by_mult[0] if by_mult[0][0].is_hyperbolic else by_mult[rng.randrange(SET_MAX_MULT)])
     return OrbitSet(picked)
 
 
@@ -96,28 +95,31 @@ def _splits(n: int) -> tuple:
 
 # one record per (pool label, partition of 1..SET_MAX_MULT, c0 flag): 12 * 18 * 2
 @lru_cache(maxsize=POOL_SIZE * 18 * 2)
-def _shared_ends(label: str, parts: Tuple[int, ...], c0_present: bool) -> CurveEnds:
-    """The one CurveEnds of this record, checked once and shared by every curve that has it."""
-    return CurveEnds(label, parts, c0_present)
+def _shared_ends(label: str, parts: Tuple[int, ...], c0_present: bool) -> Tuple[CurveEnds]:
+    """The one-record side of this record, checked once and shared by every curve that has it."""
+    return (CurveEnds(label, parts, c0_present),)
 
 
 def _random_ends(
     rng: random.Random, endpoint: OrbitSet
 ) -> Tuple[CurveEnds, ...]:
     """Random consistent ends data: at each orbit, split off a trivial-cylinder part."""
-    out = []
+    side = ()  # () + t is t, so a one-record side is the shared tuple itself
     for orbit, mult in endpoint.items():
-        c1 = rng.randint(0, mult)
-        if c1 == 0:
-            continue  # orbit fully covered by trivial cylinders
-        options = _splits(c1)
-        parts = options[rng.randrange(len(options))]
-        out.append(_shared_ends(orbit.label, parts, c1 < mult))
-    return tuple(out)
+        c1 = rng.randrange(mult + 1)
+        if c1:  # else the orbit is fully covered by trivial cylinders
+            options = _splits(c1)
+            side += _shared_ends(orbit.label, options[rng.randrange(len(options))], c1 < mult)
+    return side
 
 
 def random_tower(rng: random.Random, n: int) -> Tower:
-    """A structurally valid tower of n curves with exact Fraction actions."""
+    """A structurally valid tower of n curves with exact Fraction actions.
+
+    Its draws are single-argument ``randrange`` calls, one call layer short
+    of ``randint``: randint(a, b) draws a + randrange(b - a + 1), so the
+    stream is the one ``randint`` gave.
+    """
     pool = orbit_pool(rng)
     entries = pool_entries(pool)
     sets = [random_orbit_set(rng, entries) for _ in range(n + 1)]
@@ -128,12 +130,12 @@ def random_tower(rng: random.Random, n: int) -> Tower:
     for top, bottom in zip(sets, sets[1:]):
         curves.append(
             CurveData(
-                genus=rng.randint(0, 2),
+                genus=rng.randrange(3),
                 positive_ends=_random_ends(rng, top),
                 negative_ends=_random_ends(rng, bottom),
                 alpha=top,
                 beta=bottom,
-                c_tau=rng.randint(-2, 2),
+                c_tau=rng.randrange(5) - 2,
             )
         )
     return Tower(curves)

@@ -2,7 +2,9 @@
 
 import math
 
+from echlab.orbits import CurveData, CurveEnds, OrbitSet, Tower
 from echlab.rotations import Partition, Rotation, _hull_path
+from echlab.sampling import SET_MAX_MULT, SET_MAX_ORBITS, _splits, orbit_pool, pool_entries
 
 
 def column_heights(rot: Rotation, m: int, upper: bool) -> list:
@@ -72,3 +74,49 @@ def hyperbolic_expectation(theta, m: int) -> Partition:
             return Partition((2,) * (m // 2))
         return Partition((2,) * (m // 2) + (1,))
     raise ValueError("expected integral or half-integral rotation")
+
+
+def random_orbit_set(rng, entries) -> OrbitSet:
+    """``sampling.random_orbit_set`` as drawn with two-argument ``randint``."""
+    chosen = rng.sample(range(len(entries)), rng.randint(1, SET_MAX_ORBITS))
+    picked = []
+    for i in chosen:
+        by_mult = entries[i]
+        mult = 1 if by_mult[0][0].is_hyperbolic else rng.randint(1, SET_MAX_MULT)
+        picked.append(by_mult[mult - 1])
+    return OrbitSet(picked)
+
+
+def random_ends(rng, endpoint: OrbitSet) -> tuple:
+    """``sampling._random_ends`` with ``randint`` draws and one new CurveEnds per record."""
+    out = []
+    for orbit, mult in endpoint.items():
+        c1 = rng.randint(0, mult)
+        if c1 == 0:
+            continue  # orbit fully covered by trivial cylinders
+        options = _splits(c1)
+        parts = options[rng.randrange(len(options))]
+        out.append(CurveEnds(orbit.label, parts, c1 < mult))
+    return tuple(out)
+
+
+def random_tower(rng, n: int) -> Tower:
+    """``sampling.random_tower`` as drawn with ``randint``: the stream the generator must keep."""
+    pool = orbit_pool(rng)
+    entries = pool_entries(pool)
+    sets = [random_orbit_set(rng, entries) for _ in range(n + 1)]
+    common = math.lcm(*(o.action.denominator for o in pool))
+    sets.sort(key=lambda s: s.action.numerator * (common // s.action.denominator), reverse=True)
+    curves = []
+    for top, bottom in zip(sets, sets[1:]):
+        curves.append(
+            CurveData(
+                genus=rng.randint(0, 2),
+                positive_ends=random_ends(rng, top),
+                negative_ends=random_ends(rng, bottom),
+                alpha=top,
+                beta=bottom,
+                c_tau=rng.randint(-2, 2),
+            )
+        )
+    return Tower(curves)

@@ -199,6 +199,22 @@ def test_mistyped_list_fields_exit_2(tmp_path, capsys, command, doc, message):
 _ORBIT = _CURVE["orbits"][0]
 
 
+@pytest.mark.parametrize("command,doc,message", [
+    ("score", {"orbits": [_ORBIT, dict(_ORBIT, action=[5, 1])], "entries": [["a", 1]]},
+     "orbit label 'a' is listed twice"),
+    ("score", dict(_CURVE, orbits=[_ORBIT, dict(_ORBIT, action=[5, 1])]), "orbit label 'a' is listed twice"),
+    ("tower", {"orbits": [_ORBIT, dict(_ORBIT, action=[5, 1])], "curves": [dict(_CURVE, orbits=[])]},
+     "orbit label 'a' is listed twice"),
+    ("tower", {"orbits": [_ORBIT], "curves": [dict(_CURVE, orbits=[dict(_ORBIT, action=[5, 1])])]},
+     "orbit 'a' conflicts with the tower's orbit of that label"),
+])
+def test_repeated_orbit_labels_exit_2(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"orbits": [dict(_ORBIT, theta=[1])], "entries": [["a", 1]]},
      "fraction must be a [numerator, denominator] pair of integers, got [1]"),

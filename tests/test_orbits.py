@@ -31,6 +31,7 @@ from echlab.orbits import (
     k_invariant,
     orbit_set_from_json,
     orbit_set_to_json,
+    orbit_to_json,
     total_score,
     tower_audit,
     tower_from_json,
@@ -139,6 +140,17 @@ def test_curve_invariants_enforced():
             OrbitSet([(GAMMA_A, 4)]),
             OrbitSet(),
         )
+
+
+def test_curve_action_sign_and_type_in_both_lanes():
+    fa = SimpleOrbit("fa", 2.5, Rotation.rational(1, 5), ELLIPTIC)
+    fb = SimpleOrbit("fb", 4.0, Rotation.rational(1, 5), ELLIPTIC)
+    for lo, hi, want in ((GAMMA_B, GAMMA_A, Fraction), (fa, fb, float), (GAMMA_B, fb, float)):
+        assert type(cylinder(hi, lo).action) is want and cylinder(hi, lo).action > 0
+        assert type(cylinder(hi, hi).action) is type(hi.action) and cylinder(hi, hi).action == 0
+        message = f"curve action must be nonnegative, got {lo.action - hi.action}$"
+        with pytest.raises(StructuralError, match=message):
+            cylinder(lo, hi)
 
 
 def test_ech_index_examples():
@@ -422,6 +434,9 @@ def test_random_tower_shares_curve_ends():
     # one object per distinct record: pool labels x partitions of 1..5 (18) x c0 flag
     assert len(distinct) == len(set(ends)) <= POOL_SIZE * 18 * 2 == 432
     assert len(ends) > 10 * len(distinct)
+    # a one-record side is the record's shared tuple
+    sides = [side for c in t.curves for side in (c.positive_ends, c.negative_ends) if len(side) == 1]
+    assert len({id(side) for side in sides}) == len(set(sides)) < len(sides) // 3
 
 
 def test_curve_ends_are_slotted_and_frozen():
@@ -432,6 +447,9 @@ def test_curve_ends_are_slotted_and_frozen():
     with pytest.raises((AttributeError, TypeError)):  # Python 3.11's frozen slotted __setattr__ raises TypeError
         e.note = "x"
     assert (e.total, e.count) == (3, 2)
+    same = CurveEnds("a", (2, 1), True)
+    assert same == e and hash(same) == hash(e) and same is not e
+    assert repr(e) == "CurveEnds(orbit_label='a', multiplicities=(2, 1), c0_present=True)"
 
 
 def test_orbit_set_keeps_tuple_entries_and_packs_the_rest():
@@ -451,3 +469,22 @@ def test_tower_with_shared_parts_roundtrips_equal():
     assert t2 == t
     assert tower_to_json(t2) == doc
     assert [(c.action, c.j0) for c in t2.curves] == [(c.action, c.j0) for c in t.curves]
+    # reading shares as generation does: one CurveEnds per distinct record, and
+    # each curve's beta is the next curve's alpha
+    ends = [e for c in t2.curves for side in (c.positive_ends, c.negative_ends) for e in side]
+    assert len({id(e) for e in ends}) == len(set(ends))
+    assert all(upper.beta is lower.alpha for upper, lower in zip(t2.curves, t2.curves[1:]))
+
+
+def test_repeated_orbit_labels_are_structural_errors():
+    a1, a5 = orbit_to_json(orb("a", 1, 1, 5)), orbit_to_json(orb("a", 5, 1, 5))
+    curve = {"genus": 0, "alpha": [["a", 2]], "beta": []}
+    for read, doc in ((orbit_set_from_json, {"orbits": [a1, a5], "entries": [["a", 2]]}),
+                      (curve_from_json, dict(curve, orbits=[a1, a5])),
+                      (tower_from_json, {"orbits": [a1, a5], "curves": [curve]})):
+        with pytest.raises(StructuralError, match="orbit label 'a' is listed twice"):
+            read(doc)
+    with pytest.raises(StructuralError, match="orbit 'a' conflicts with the tower's orbit of that label"):
+        tower_from_json({"orbits": [a1], "curves": [dict(curve, orbits=[a5])]})
+    t = tower_from_json({"orbits": [a1], "curves": [dict(curve, orbits=[a1])]})  # the same orbit again
+    assert t.top.action == 2

@@ -1,5 +1,6 @@
 """The grouped-join score scan against the triple-loop oracle."""
 
+import json
 import math
 import random
 from itertools import combinations_with_replacement
@@ -8,9 +9,11 @@ from typing import Optional, Sequence
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from echlab.orbits import cover_indices
+from echlab.orbits import cover_indices, tower_to_json
 from echlab.rotations import Rotation, cz_index
-from echlab.sampling import _end_options, score_falsification_scan, threshold_multiplicity
+from echlab.sampling import _end_options, random_tower, score_falsification_scan, threshold_multiplicity
+
+import oracles
 
 
 def triple_loop_scan(
@@ -132,3 +135,13 @@ def test_natural_bounds_scan_finds_no_violation():
         assert (scan["scanned"], scan["min_total_score"]) == expected
         assert scan["violations"] == 0 and scan["violating_curves"] == []
     assert score_falsification_scan(max_mult=9)["scanned"] == 4179
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+def test_random_tower_keeps_the_randint_stream(seed, n):
+    # single-argument randrange draws what randint drew, and sharing records changes no value
+    slow, fast = random.Random(seed), random.Random(seed)
+    want = json.dumps(tower_to_json(oracles.random_tower(slow, n)))
+    assert json.dumps(tower_to_json(random_tower(fast, n))) == want
+    assert fast.getstate() == slow.getstate()
