@@ -249,10 +249,8 @@ class CurveData:
     def __post_init__(self):
         if self.genus < 0:
             raise StructuralError("genus must be nonnegative")
-        if type(self.positive_ends) is not tuple:
-            object.__setattr__(self, "positive_ends", tuple(self.positive_ends))
-        if type(self.negative_ends) is not tuple:
-            object.__setattr__(self, "negative_ends", tuple(self.negative_ends))
+        object.__setattr__(self, "positive_ends", tuple(self.positive_ends))
+        object.__setattr__(self, "negative_ends", tuple(self.negative_ends))
         self._check_side(self.positive_ends, self.alpha, "positive")
         self._check_side(self.negative_ends, self.beta, "negative")
         act = self.alpha.action - self.beta.action
@@ -565,53 +563,24 @@ def curve_to_json(c: CurveData) -> dict:
     return {"orbits": [orbit_to_json(labels[k]) for k in sorted(labels)], **_curve_body(c)}
 
 
-def _ends_from_json(d: dict, key: str, shared: Dict[tuple, CurveEnds]) -> Tuple[CurveEnds, ...]:
-    """The ends records d[key]; ``shared`` holds the one CurveEnds of each record its document has
-    listed so far.  A c0 that is not a JSON boolean is not shared: as a key, 1 would be True."""
-    records = [_record(e, "ends record") for e in _array(d, key, optional=True)]
-    side = []
-    for e in records:
-        record = (_string(e["orbit"], "orbit"),
-                  tuple(_integer(m, "multiplicities") for m in _array(e, "multiplicities")), e["c0"])
-        if type(record[2]) is not bool:
-            side.append(CurveEnds(*record))
-            continue
-        ends = shared.get(record)
-        if ends is None:
-            ends = shared[record] = CurveEnds(*record)
-        side.append(ends)
-    return tuple(side)
-
-
-def _curve_from_json(d: dict, pool: Dict[str, SimpleOrbit], shared: dict, sets: dict) -> CurveData:
-    """A curve record of a document whose orbits are ``pool``.  ``shared`` holds the document's
-    CurveEnds by record, and ``sets`` its OrbitSets by entries list for curves that read their
-    orbits from ``pool`` alone, so one curve's beta is the next one's alpha when the lists agree."""
+def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> CurveData:
     own = _array(_record(d, "curve record"), "orbits", optional=True)
-    local = _orbit_pool(own, pool) if own else pool
+    local = _orbit_pool(own, pool) if own else pool or {}
 
-    def orbit_set(key):
-        entries = _entries(d, key)
-        if local is not pool:
-            return OrbitSet((local[label], m) for label, m in entries)
-        memo = tuple(map(tuple, entries))
-        s = sets.get(memo)
-        if s is None:
-            s = sets[memo] = OrbitSet((local[label], m) for label, m in entries)
-        return s
+    def ends(key):
+        records = [_record(e, "ends record") for e in _array(d, key, optional=True)]
+        return tuple(CurveEnds(_string(e["orbit"], "orbit"),
+                               tuple(_integer(m, "multiplicities") for m in _array(e, "multiplicities")),
+                               e["c0"]) for e in records)
 
     return CurveData(
         genus=_integer(d["genus"], "genus"),
-        positive_ends=_ends_from_json(d, "positive_ends", shared),
-        negative_ends=_ends_from_json(d, "negative_ends", shared),
-        alpha=orbit_set("alpha"),
-        beta=orbit_set("beta"),
+        positive_ends=ends("positive_ends"),
+        negative_ends=ends("negative_ends"),
+        alpha=OrbitSet((local[l], m) for l, m in _entries(d, "alpha")),
+        beta=OrbitSet((local[l], m) for l, m in _entries(d, "beta")),
         c_tau=_integer(d.get("c_tau", 0), "c_tau"),
     )
-
-
-def curve_from_json(d: dict) -> CurveData:
-    return _curve_from_json(d, {}, {}, {})
 
 
 def tower_to_json(t: Tower) -> dict:
@@ -622,5 +591,4 @@ def tower_to_json(t: Tower) -> dict:
 
 def tower_from_json(d: dict) -> Tower:
     pool = _orbit_pool(_array(_record(d, "tower document"), "orbits"))
-    shared, sets = {}, {}
-    return Tower([_curve_from_json(c, pool, shared, sets) for c in _array(d, "curves")])
+    return Tower([curve_from_json(c, pool) for c in _array(d, "curves")])
