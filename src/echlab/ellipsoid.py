@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 CENSUS_CAP = 100_000  # torus families one census may list
 SPECTRUM_CAP = 10**7  # default bound on the entries one spectrum may list
@@ -59,8 +57,6 @@ class Ellipsoid:
 
     @property
     def ratio_rational(self) -> Optional[Fraction]:
-        if isinstance(self.a, Fraction) and isinstance(self.b, Fraction):
-            return self.a / self.b
         if isinstance(self.a, (int, Fraction)) and isinstance(self.b, (int, Fraction)):
             return Fraction(self.a) / Fraction(self.b)
         return _detect_rational(float(self.a) / float(self.b))
@@ -108,28 +104,10 @@ def simple_orbit_census(e: Ellipsoid, L: float) -> List[dict]:
         raise ValueError("action bound must be positive")
     a, b = float(e.a), float(e.b)
     out: List[dict] = []
-    if a <= L:
-        out.append(
-            {
-                "label": "gamma1",
-                "type": "core-circle",
-                "action": a,
-                "rotation": a / b,
-                "kind": "elliptic",
-                "degenerate": e.is_rational,
-            }
-        )
-    if b <= L:
-        out.append(
-            {
-                "label": "gamma2",
-                "type": "core-circle",
-                "action": b,
-                "rotation": b / a,
-                "kind": "elliptic",
-                "degenerate": e.is_rational,
-            }
-        )
+    for label, action, other in (("gamma1", a, b), ("gamma2", b, a)):
+        if action <= L:
+            out.append({"label": label, "type": "core-circle", "action": action, "rotation": action / other,
+                        "kind": "elliptic", "degenerate": e.is_rational})
     ratio = e.ratio_rational
     if ratio is not None:
         p, q = ratio.numerator, ratio.denominator
@@ -189,44 +167,6 @@ def spectrum_values(
     return out
 
 
-def cached_spectrum_values(e: Ellipsoid, count: int) -> np.ndarray:
-    """Spectrum values with optional on-disk memoization.
-
-    When ECHLAB_CACHE_DIR is set, results are stored as .npy files (binary
-    layout v1: a float64 vector of the first ``count`` values, one file per
-    (a, b, count) triple) and reused across runs.  A file is written to a
-    temporary name in the cache directory and moved into place with
-    ``os.replace``, so no reader sees a partial file; a missing, unreadable
-    or wrong-length file is a cache miss.
-    """
-    import os
-    import tempfile
-
-    cache_dir = os.environ.get("ECHLAB_CACHE_DIR")
-    path = None
-    if cache_dir:
-        key = f"spectrum_v1_{float(e.a)!r}_{float(e.b)!r}_{count}.npy"
-        path = os.path.join(cache_dir, key)
-        try:
-            data = np.load(path)
-            if data.shape == (count,):
-                return data
-        except (OSError, ValueError, EOFError):
-            pass
-    data = np.array([v[0] for v in spectrum_values(e, count=count)])
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, data)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return data
-
-
 def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
     """Convergence of c_k^2 / (2k) to the contact volume a*b.
 
@@ -237,21 +177,18 @@ def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
         raise ValueError("kmax must be >= 1")
     if not formal and e.is_rational:
         raise ValueError("irrational aspect ratio required outside formal mode")
-    if formal:
-        cs = np.array([x[0] for x in spectrum_values(e, count=kmax + 1, formal=True)])
-    else:
-        cs = cached_spectrum_values(e, kmax + 1)
+    cs = [x[0] for x in spectrum_values(e, count=kmax + 1, formal=formal)]
     v = volume(e)
-    ratio = cs[1:] ** 2 / (2.0 * np.arange(1, kmax + 1))
-    dev = np.abs(ratio - v)
+    ratio = [c * c / (2.0 * k) for k, c in enumerate(cs[1:], 1)]
+    dev = [abs(r - v) for r in ratio]
     rows = [
-        {"k": k, "c_k": float(cs[k]), "ratio": float(ratio[k - 1]), "deviation": float(dev[k - 1])}
+        {"k": k, "c_k": cs[k], "ratio": ratio[k - 1], "deviation": dev[k - 1]}
         for k in sorted({2**j for j in range(kmax.bit_length())} | {kmax})
     ]
     return {
         "volume": v,
         "rows": rows,
-        "final_decade_max_deviation": float(dev[max(1, kmax // 10) - 1 :].max()),
+        "final_decade_max_deviation": max(dev[max(1, kmax // 10) - 1 :]),
         "kmax": kmax,
     }
 
@@ -259,6 +196,30 @@ def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
 def volume(e: Ellipsoid) -> float:
     """Contact volume of the boundary: the closed form a*b."""
     return float(e.a) * float(e.b)
+
+
+def _gauss_legendre(n: int) -> Tuple[List[float], List[float]]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is a root of the Legendre polynomial P_n, found by Newton's
+    method from the guess -cos(pi (i - 1/4) / (n + 1/2)); P_n and P_(n-1) come
+    from the three-term recurrence, and the weight is 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = -math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            step = p1 / dp
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return nodes, weights
 
 
 def volume_quadrature(e: Ellipsoid, n_mu: int = 200, n_angle: int = 16) -> float:
@@ -291,12 +252,10 @@ def volume_quadrature(e: Ellipsoid, n_mu: int = 200, n_angle: int = 16) -> float
     def dlam(u, v):
         return (u[0] * v[1] - u[1] * v[0]) + (u[2] * v[3] - u[3] * v[2])
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_mu)
-    mus = 0.5 * (nodes + 1.0)
-    wmu = 0.5 * weights
-    angles = np.linspace(0.0, TWO_PI, n_angle, endpoint=False)
+    angles = [TWO_PI * j / n_angle for j in range(n_angle)]
     total = 0.0
-    for mu, w in zip(mus, wmu):
+    for x, w in zip(*_gauss_legendre(n_mu)):
+        mu, w = 0.5 * (x + 1.0), 0.5 * w
         acc = 0.0
         for t1 in angles:
             for t2 in angles:

@@ -427,14 +427,25 @@ def _num_to_json(x):
     return float(x)
 
 
-def _record(d, what: str) -> dict:
-    """d itself when it is a JSON object; a StructuralError otherwise."""
+class _Record(dict):
+    """A JSON object read as a ``what``: reading a field it lacks is a StructuralError."""
+
+    def __init__(self, d: dict, what: str):
+        super().__init__(d)
+        self.what = what
+
+    def __missing__(self, key):
+        raise StructuralError(f"{self.what} has no {key!r} field")
+
+
+def _record(d, what: str) -> _Record:
+    """d as a _Record when it is a JSON object; a StructuralError otherwise."""
     if not isinstance(d, dict):
         raise StructuralError(f"{what} must be a JSON object, got {type(d).__name__}")
-    return d
+    return _Record(d, what)
 
 
-def _array(d: dict, key: str, optional: bool = False) -> list:
+def _array(d: _Record, key: str, optional: bool = False) -> list:
     """d[key] when it is a JSON array (absent and optional: empty); a StructuralError otherwise."""
     v = d.get(key, []) if optional else d[key]
     if not isinstance(v, list):
@@ -469,12 +480,23 @@ def _string(v, key: str) -> str:
     return v
 
 
-def _entries(d: dict, key: str) -> list:
-    """d[key] when it is a JSON array of [label, multiplicity] pairs: string labels, integer multiplicities."""
+def _boolean(v, key: str) -> bool:
+    """v, the value of field ``key``, when it is a JSON boolean; a StructuralError otherwise."""
+    if not isinstance(v, bool):
+        raise StructuralError(f"{key} must be a boolean, got {v!r}")
+    return v
+
+
+def _orbit_set(d: _Record, key: str, pool: Dict[str, SimpleOrbit]) -> OrbitSet:
+    """The orbit set of d[key], a JSON array of [label, multiplicity] pairs over the orbits of ``pool``."""
+    entries = []
     for e in _array(d, key):
         if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and _is_int(e[1])):
             raise StructuralError(f"{key} entry must be a [label, multiplicity] pair, got {e!r}")
-    return d[key]
+        if e[0] not in pool:
+            raise StructuralError(f"unknown orbit label {e[0]!r}")
+        entries.append((pool[e[0]], e[1]))
+    return OrbitSet(entries)
 
 
 def _fraction_from_json(v: list) -> Fraction:
@@ -504,8 +526,9 @@ def orbit_to_json(o: SimpleOrbit) -> dict:
 
 
 def orbit_from_json(d: dict) -> SimpleOrbit:
+    d = _record(d, "orbit record")
     return SimpleOrbit(
-        label=_string(_record(d, "orbit record")["label"], "label"),
+        label=_string(d["label"], "label"),
         action=_num_from_json(d["action"], "action"),
         theta=Rotation.coerce(_num_from_json(d["theta"], "theta")),
         kind=d["kind"],
@@ -537,8 +560,8 @@ def _orbit_pool(orbits: list, tower: Optional[Dict[str, SimpleOrbit]] = None) ->
 
 
 def orbit_set_from_json(d: dict) -> OrbitSet:
-    pool = _orbit_pool(_array(_record(d, "orbit-set document"), "orbits"))
-    return OrbitSet((pool[label], mult) for label, mult in _entries(d, "entries"))
+    d = _record(d, "orbit-set document")
+    return _orbit_set(d, "entries", _orbit_pool(_array(d, "orbits")))
 
 
 def _ends_to_json(side: Tuple[CurveEnds, ...]) -> list:
@@ -564,21 +587,22 @@ def curve_to_json(c: CurveData) -> dict:
 
 
 def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> CurveData:
-    own = _array(_record(d, "curve record"), "orbits", optional=True)
+    d = _record(d, "curve record")
+    own = _array(d, "orbits", optional=True)
     local = _orbit_pool(own, pool) if own else pool or {}
 
     def ends(key):
         records = [_record(e, "ends record") for e in _array(d, key, optional=True)]
         return tuple(CurveEnds(_string(e["orbit"], "orbit"),
                                tuple(_integer(m, "multiplicities") for m in _array(e, "multiplicities")),
-                               e["c0"]) for e in records)
+                               _boolean(e["c0"], "c0")) for e in records)
 
     return CurveData(
         genus=_integer(d["genus"], "genus"),
         positive_ends=ends("positive_ends"),
         negative_ends=ends("negative_ends"),
-        alpha=OrbitSet((local[l], m) for l, m in _entries(d, "alpha")),
-        beta=OrbitSet((local[l], m) for l, m in _entries(d, "beta")),
+        alpha=_orbit_set(d, "alpha", local),
+        beta=_orbit_set(d, "beta", local),
         c_tau=_integer(d.get("c_tau", 0), "c_tau"),
     )
 
@@ -590,5 +614,6 @@ def tower_to_json(t: Tower) -> dict:
 
 
 def tower_from_json(d: dict) -> Tower:
-    pool = _orbit_pool(_array(_record(d, "tower document"), "orbits"))
+    d = _record(d, "tower document")
+    pool = _orbit_pool(_array(d, "orbits"))
     return Tower([curve_from_json(c, pool) for c in _array(d, "curves")])

@@ -237,7 +237,8 @@ def score_falsification_scan(
     """Search the bounded admissible family for negative total scores.
 
     Returns the census of scanned curves and any violating instances (the
-    expected outcome is none; universality is not claimed).
+    expected outcome is none; universality is not claimed).  A side holds at
+    most ``max_orbits_per_side`` orbits, which must be 1 or 2.
 
     The scan is a join over side groups, not a loop over every (positive,
     negative, genus) triple: both index constraints and the total score split
@@ -266,8 +267,10 @@ def score_falsification_scan(
             Rotation.rational(4, 11),
             Rotation.rational(9, 13),
         ]
+    if max_orbits_per_side not in (1, 2):
+        raise ValueError(f"max_orbits_per_side must be 1 or 2, got {max_orbits_per_side!r}")
     theta_list = list(thetas)
-    two_orbits = max_orbits_per_side >= 2
+    two_orbits = max_orbits_per_side == 2
 
     def key(x, y, n):
         return (x, y, n == 1) if require_u_indices else (n == 1,)

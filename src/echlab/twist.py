@@ -226,12 +226,14 @@ class TwistProfile:
     @staticmethod
     def from_json(d: dict) -> "TwistProfile":
         """The profile of a JSON document; a malformed one raises StructuralError."""
-        if _record(d, "profile document").get("type") == "samples":
+        d = _record(d, "profile document")
+        if d.get("type") == "samples":
             r, f = ([_number(x, key) for x in _array(d, key)] for key in ("r", "f"))
             return profile_from_samples(r, f, name=d.get("name", "samples"))
         segs = []
         for s in _array(d, "segments"):
-            terms = _array(_record(s, "segment record"), "terms")
+            s = _record(s, "segment record")
+            terms = _array(s, "terms")
             for t in terms:
                 if not (isinstance(t, list) and len(t) == 2 and _is_int(t[1])):
                     raise StructuralError(f"terms entry must be a [coefficient, integer exponent] pair, got {t!r}")

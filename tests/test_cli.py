@@ -188,6 +188,10 @@ _CURVE = {"genus": 0, "orbits": [{"label": "a", "action": [1, 2], "theta": [1, 5
      "orbit must be a string, got [1]"),
     ("score", {"orbits": [dict(_CURVE["orbits"][0], label=[1])], "entries": []}, "label must be a string, got [1]"),
     ("tower", {"orbits": [], "curves": []}, "a tower needs at least one curve"),
+    ("score", dict(_CURVE, positive_ends=[{"orbit": "a", "multiplicities": [1], "c0": 1}]),
+     "c0 must be a boolean, got 1"),
+    ("score", dict(_CURVE, positive_ends=[{"orbit": "a", "multiplicities": [1], "c0": "no"}]),
+     "c0 must be a boolean, got 'no'"),
 ])
 def test_mistyped_list_fields_exit_2(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"
@@ -197,6 +201,29 @@ def test_mistyped_list_fields_exit_2(tmp_path, capsys, command, doc, message):
 
 
 _ORBIT = _CURVE["orbits"][0]
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("score", dict(_CURVE, positive_ends=[{"orbit": "a", "multiplicities": [1]}]), "ends record has no 'c0' field"),
+    ("score", dict(_CURVE, positive_ends=[{"multiplicities": [1], "c0": False}]), "ends record has no 'orbit' field"),
+    ("tower", {"orbits": [_ORBIT], "curves": [_without(dict(_CURVE, orbits=[]), "genus")]},
+     "curve record has no 'genus' field"),
+    ("score", {"orbits": [_without(_ORBIT, "label")], "entries": []}, "orbit record has no 'label' field"),
+    ("score", {"orbits": [_without(_ORBIT, "kind")], "entries": []}, "orbit record has no 'kind' field"),
+    ("score", {"orbits": [_ORBIT]}, "orbit-set document has no 'entries' field"),
+    ("score", {"orbits": [_ORBIT], "entries": [["b", 1]]}, "unknown orbit label 'b'"),
+    ("score", dict(_CURVE, beta=[["b", 1]]), "unknown orbit label 'b'"),
+])
+def test_missing_fields_exit_2(tmp_path, capsys, command, doc, message):
+    # a required field that is absent, or an entry label with no orbit record, names what is missing
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command,doc,message", [

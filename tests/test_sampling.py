@@ -6,6 +6,7 @@ import random
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +136,13 @@ def test_natural_bounds_scan_finds_no_violation():
         assert (scan["scanned"], scan["min_total_score"]) == expected
         assert scan["violations"] == 0 and scan["violating_curves"] == []
     assert score_falsification_scan(max_mult=9)["scanned"] == 4179
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_unsupported_orbits_per_side_is_rejected(k):
+    # a side pairs at most two orbits, so a bound other than 1 or 2 would be silently capped
+    with pytest.raises(ValueError, match=f"max_orbits_per_side must be 1 or 2, got {k}"):
+        score_falsification_scan(max_orbits_per_side=k)
 
 
 @settings(max_examples=60, deadline=None)

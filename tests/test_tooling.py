@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
 
@@ -20,8 +22,9 @@ def test_traced_boundaries_resolve():
     assert spans.BOUNDARIES and not missing
 
 
-def test_importing_echlab_loads_no_scipy():
-    # scipy is a test-only oracle: no echlab module may import it, at any depth
+@pytest.mark.parametrize("oracle", ["scipy", "numpy"])
+def test_importing_echlab_loads_no_oracle(oracle):
+    # scipy and numpy are test-only oracles: no echlab module may import either, at any depth
     import echlab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(echlab.__file__)))
@@ -33,7 +36,7 @@ def test_importing_echlab_loads_no_scipy():
         "assert 'echlab.cli' in names, names\n"
         "for name in names:\n"
         "    importlib.import_module(name)\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        f"print(sorted(m for m in sys.modules if m == {oracle!r} or m.startswith({oracle + '.'!r})))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout
