@@ -515,7 +515,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = config_from_args(args)
         bundle = run(config)
     except (ValueError, OSError, KeyError, OverflowError, pfh.ComplexSizeError, el.ResourceCapError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+        print("error: " + str(ex).replace("\n", "\\n"), file=sys.stderr)  # one line, whatever the input held
         return 2
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0

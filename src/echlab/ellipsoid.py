@@ -8,10 +8,12 @@ quadrature of the pulled-back volume form.
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import List, Optional, Tuple, Union
 
 TWO_PI = 2.0 * math.pi
@@ -136,34 +138,46 @@ def spectrum_values(
     formal: bool = False,
     cap: int = SPECTRUM_CAP,
 ) -> List[Tuple[float, int, int]]:
-    """Sorted values m*a + n*b with (m, n) witnesses, by bounded-heap enumeration.
+    """Sorted values m*a + n*b with (m, n) witnesses, from row sums.
 
-    Provide either an action bound L or a target entry count.  Rational
-    aspect ratios produce coinciding values; these are rejected unless
-    ``formal`` is set, in which case the multiset is enumerated as-is.
+    Provide a finite action bound L or an entry count of at most ``cap``.  Row n
+    starts at b plus the value of (0, n-1) and adds a repeatedly (a heap's float
+    sums); rows cut at the bound are pooled and sorted.  A count's bound is the
+    Weyl estimate sqrt(2ab count) + a + b, grown by half until it suffices, and
+    row n keeps count - n entries, as m + n tuples precede (m, n).  Coinciding
+    values of a rational aspect ratio are rejected unless ``formal`` is set.
     """
     if (L is None) == (count is None):
         raise ValueError("provide exactly one of L or count")
+    if L is not None and not math.isfinite(L):
+        raise ValueError(f"action bound must be finite, got {L}")
+    if count is not None and count > cap:
+        raise ResourceCapError(f"spectrum entry cap {cap} exceeded")
     if e.is_rational and not formal:
-        raise ValueError(
-            "rational aspect ratio: the spectrum has coinciding values; "
-            "pass formal=True for the formal lattice spectrum"
-        )
+        raise ValueError("rational aspect ratio: the spectrum has coinciding values; "
+                         "pass formal=True for the formal lattice spectrum")
     a, b = float(e.a), float(e.b)
-    out: List[Tuple[float, int, int]] = []
-    heap: List[Tuple[float, int, int]] = [(0.0, 0, 0)]
-    while heap:
-        v, m, n = heapq.heappop(heap)
-        if L is not None and v > L * (1 + 1e-15):
+    big = math.nextafter(math.inf, 0.0)  # a count's bound stays finite, so rows end before overflow
+    bound = L * (1 + 1e-15) if count is None else min(math.sqrt(2.0 * count * a) * math.sqrt(b) + a + b, big)
+    while True:
+        out, v0, n = [], 0.0, 0
+        while v0 <= bound and (count is None or n < count):
+            width = cap + 1 - len(out) if count is None else count - n  # at most one past the cap
+            row = list(accumulate(repeat(a, int(min(width - 1, (bound - v0) / a + 1))), initial=v0))
+            while len(row) < width and row[-1] <= bound:
+                row.append(row[-1] + a)
+            out += zip(row, range(bisect_right(row, bound)), repeat(n))
+            if count is None and len(out) > cap:
+                raise ResourceCapError(f"spectrum entry cap {cap} exceeded")
+            v0, n = v0 + b, n + 1
+        if count is None or len(out) >= count:
             break
-        out.append((v, m, n))
-        if count is not None and len(out) >= count:
-            break
-        if len(out) > cap:
-            raise ResourceCapError(f"spectrum entry cap {cap} exceeded")
-        heapq.heappush(heap, (v + a, m + 1, n))
-        if m == 0:
-            heapq.heappush(heap, (v + b, 0, n + 1))
+        if bound == big:
+            raise OverflowError("spectrum values overflow a float")
+        bound = min(1.5 * bound, big)
+    out.sort()
+    if count is not None:
+        del out[count:]
     return out
 
 
@@ -175,8 +189,6 @@ def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if not formal and e.is_rational:
-        raise ValueError("irrational aspect ratio required outside formal mode")
     cs = [x[0] for x in spectrum_values(e, count=kmax + 1, formal=formal)]
     v = volume(e)
     ratio = [c * c / (2.0 * k) for k, c in enumerate(cs[1:], 1)]
@@ -198,12 +210,14 @@ def volume(e: Ellipsoid) -> float:
     return float(e.a) * float(e.b)
 
 
-def _gauss_legendre(n: int) -> Tuple[List[float], List[float]]:
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Each node is a root of the Legendre polynomial P_n, found by Newton's
     method from the guess -cos(pi (i - 1/4) / (n + 1/2)); P_n and P_(n-1) come
     from the three-term recurrence, and the weight is 2 / ((1 - x^2) P_n'(x)^2).
+    Cached per n, as tuples so that no caller can change the shared rule.
     """
     nodes, weights = [], []
     for i in range(1, n + 1):
@@ -219,53 +233,39 @@ def _gauss_legendre(n: int) -> Tuple[List[float], List[float]]:
                 break
         nodes.append(x)
         weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return nodes, weights
+    return tuple(nodes), tuple(weights)
 
 
 def volume_quadrature(e: Ellipsoid, n_mu: int = 200, n_angle: int = 16) -> float:
     """Contact volume recomputed by quadrature of the pulled-back volume form.
 
     Parameterizes the boundary by (mu, theta1, theta2), evaluates the 3-form
-    lambda ^ d(lambda) on the coordinate frame numerically from the ambient
-    embedding, and integrates with Gauss-Legendre in mu and trapezoids in the
-    angles.  Never consults the closed form.
+    lambda ^ d(lambda) on the coordinate frame from the ambient embedding, and
+    integrates with Gauss-Legendre in mu and trapezoids in the angles.  Never
+    consults the closed form.
     """
     a, b = float(e.a), float(e.b)
-
-    def frame(mu, t1, t2):
-        # embedding (x1, y1, x2, y2) and its partial derivatives
-        r1 = math.sqrt(a * mu / math.pi) if mu > 0 else 0.0
-        r2 = math.sqrt(b * (1 - mu) / math.pi) if mu < 1 else 0.0
-        c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
-        p = (r1 * c1, r1 * s1, r2 * c2, r2 * s2)
-        dr1 = a / (2 * math.pi * r1) if r1 > 0 else 0.0
-        dr2 = -b / (2 * math.pi * r2) if r2 > 0 else 0.0
-        d_mu = (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2)
-        d_t1 = (-r1 * s1, r1 * c1, 0.0, 0.0)
-        d_t2 = (0.0, 0.0, -r2 * s2, r2 * c2)
-        return p, d_mu, d_t1, d_t2
-
-    def lam(p, v):
-        x1, y1, x2, y2 = p
-        return 0.5 * (x1 * v[1] - y1 * v[0] + x2 * v[3] - y2 * v[2])
-
-    def dlam(u, v):
-        return (u[0] * v[1] - u[1] * v[0]) + (u[2] * v[3] - u[3] * v[2])
-
-    angles = [TWO_PI * j / n_angle for j in range(n_angle)]
+    trig = [(math.cos(t), math.sin(t)) for t in (TWO_PI * j / n_angle for j in range(n_angle))]
     total = 0.0
     for x, w in zip(*_gauss_legendre(n_mu)):
         mu, w = 0.5 * (x + 1.0), 0.5 * w
+        r1 = math.sqrt(a * mu / math.pi) if mu > 0 else 0.0
+        r2 = math.sqrt(b * (1 - mu) / math.pi) if mu < 1 else 0.0
+        dr1 = a / (2 * math.pi * r1) if r1 > 0 else 0.0
+        dr2 = -b / (2 * math.pi * r2) if r2 > 0 else 0.0
+        # embedding p = (x1, y1, x2, y2), d_mu = (u1, v1, u2, v2), d_t1 = (e1, f1, 0, 0), d_t2 = (0, 0, e2, f2)
+        second = [(r2 * c2, r2 * s2, dr2 * c2, dr2 * s2, -r2 * s2, r2 * c2) for c2, s2 in trig]
         acc = 0.0
-        for t1 in angles:
-            for t2 in angles:
-                p, dm, d1, d2 = frame(mu, t1, t2)
-                val = (
-                    lam(p, dm) * dlam(d1, d2)
-                    - lam(p, d1) * dlam(dm, d2)
-                    + lam(p, d2) * dlam(dm, d1)
-                )
-                acc += val
+        for c1, s1 in trig:
+            x1, y1, u1, v1, e1, f1 = r1 * c1, r1 * s1, dr1 * c1, dr1 * s1, -r1 * s1, r1 * c1
+            for x2, y2, u2, v2, e2, f2 in second:
+                # lam(p, dm) dlam(d1, d2) - lam(p, d1) dlam(dm, d2) + lam(p, d2) dlam(dm, d1)
+                acc += (0.5 * (x1 * v1 - y1 * u1 + x2 * v2 - y2 * u2)
+                        * ((e1 * 0.0 - f1 * 0.0) + (0.0 * f2 - 0.0 * e2))
+                        - 0.5 * (x1 * f1 - y1 * e1 + x2 * 0.0 - y2 * 0.0)
+                        * ((u1 * 0.0 - v1 * 0.0) + (u2 * f2 - v2 * e2))
+                        + 0.5 * (x1 * 0.0 - y1 * 0.0 + x2 * f2 - y2 * e2)
+                        * ((u1 * f1 - v1 * e1) + (u2 * 0.0 - v2 * 0.0)))
         total += w * acc * (TWO_PI / n_angle) ** 2
     return abs(total)
 

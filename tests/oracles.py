@@ -1,7 +1,9 @@
 """Slow, independent constructions that the fast library paths are checked against."""
 
+import heapq
 import math
 
+from echlab.ellipsoid import TWO_PI, ResourceCapError, _gauss_legendre
 from echlab.orbits import CurveData, CurveEnds, OrbitSet, Tower
 from echlab.rotations import Partition, Rotation, _hull_path
 from echlab.sampling import SET_MAX_MULT, SET_MAX_ORBITS, _splits, orbit_pool, pool_entries
@@ -120,3 +122,66 @@ def random_tower(rng, n: int) -> Tower:
             )
         )
     return Tower(curves)
+
+
+def heap_spectrum_values(a: float, b: float, L=None, count=None, cap: int = 10**7) -> list:
+    """Bounded-heap oracle for ``ellipsoid.spectrum_values``: pop the sorted
+    (m*a + n*b, m, n) tuples one at a time, pushing (m+1, n) and, from m = 0,
+    (0, n+1).  Takes the float parameters and skips the argument checks."""
+    out = []
+    heap = [(0.0, 0, 0)]
+    while heap:
+        v, m, n = heapq.heappop(heap)
+        if L is not None and v > L * (1 + 1e-15):
+            break
+        out.append((v, m, n))
+        if count is not None and len(out) >= count:
+            break
+        if len(out) > cap:
+            raise ResourceCapError(f"spectrum entry cap {cap} exceeded")
+        heapq.heappush(heap, (v + a, m + 1, n))
+        if m == 0:
+            heapq.heappush(heap, (v + b, 0, n + 1))
+    return out
+
+
+def pointwise_volume_quadrature(a: float, b: float, n_mu: int, n_angle: int) -> float:
+    """Oracle for ``ellipsoid.volume_quadrature``: the integrand evaluated
+    point by point from the embedding's frame, lambda and d(lambda)."""
+
+    def frame(mu, t1, t2):
+        # embedding (x1, y1, x2, y2) and its partial derivatives
+        r1 = math.sqrt(a * mu / math.pi) if mu > 0 else 0.0
+        r2 = math.sqrt(b * (1 - mu) / math.pi) if mu < 1 else 0.0
+        c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+        p = (r1 * c1, r1 * s1, r2 * c2, r2 * s2)
+        dr1 = a / (2 * math.pi * r1) if r1 > 0 else 0.0
+        dr2 = -b / (2 * math.pi * r2) if r2 > 0 else 0.0
+        d_mu = (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2)
+        d_t1 = (-r1 * s1, r1 * c1, 0.0, 0.0)
+        d_t2 = (0.0, 0.0, -r2 * s2, r2 * c2)
+        return p, d_mu, d_t1, d_t2
+
+    def lam(p, v):
+        x1, y1, x2, y2 = p
+        return 0.5 * (x1 * v[1] - y1 * v[0] + x2 * v[3] - y2 * v[2])
+
+    def dlam(u, v):
+        return (u[0] * v[1] - u[1] * v[0]) + (u[2] * v[3] - u[3] * v[2])
+
+    angles = [TWO_PI * j / n_angle for j in range(n_angle)]
+    total = 0.0
+    for x, w in zip(*_gauss_legendre(n_mu)):
+        mu, w = 0.5 * (x + 1.0), 0.5 * w
+        acc = 0.0
+        for t1 in angles:
+            for t2 in angles:
+                p, dm, d1, d2 = frame(mu, t1, t2)
+                val = (
+                    lam(p, dm) * dlam(d1, d2)
+                    - lam(p, d1) * dlam(dm, d2)
+                    + lam(p, d2) * dlam(dm, d1)
+                )
+                acc += val
+        total += w * acc * (TWO_PI / n_angle) ** 2
+    return abs(total)

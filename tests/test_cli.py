@@ -125,6 +125,7 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
         ({"L": math.inf}, "echlab ellipsoid census: argument --L: invalid parse_number value: 'inf'"),
         ({"tol": 0.1}, "echlab: unrecognized arguments: --tol=0.1"),
         ({"m": 2.5}, "echlab: unrecognized arguments: --m=2.5"),
+        ({"\n": None}, "echlab: unrecognized arguments: --\\n=None"),  # a newline in the input is escaped
     ]
     for i, (doc, message) in enumerate(configs):
         path = tmp_path / f"cfg{i}.json"

@@ -1,15 +1,21 @@
 """Ellipsoid Reeb flow, orbit census, spectrum, volume, and return map."""
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from echlab.cli import RunConfig, run
 from echlab.ellipsoid import (
+    SPECTRUM_CAP,
     Ellipsoid,
     FlowState,
+    ResourceCapError,
     _gauss_legendre,
     gss_return_map,
     product_of_periods_check,
@@ -20,6 +26,7 @@ from echlab.ellipsoid import (
     volume_quadrature,
     weyl_table,
 )
+from oracles import heap_spectrum_values, pointwise_volume_quadrature
 
 SQRT2 = math.sqrt(2)
 TWO_PI = 2 * math.pi
@@ -211,8 +218,69 @@ def test_weyl_formal_round_sphere_limit():
 
 
 def test_spectrum_resource_cap():
-    with pytest.raises(Exception):
-        spectrum_values(Ellipsoid(1.0, SQRT2), count=2000, cap=100)
+    e = Ellipsoid(1.0, SQRT2)
+    with pytest.raises(ResourceCapError):
+        spectrum_values(e, count=2000, cap=100)
+    # count mode: cap entries are allowed, one more is refused before any enumeration
+    assert len(spectrum_values(e, count=100, cap=100)) == 100
+    with pytest.raises(ResourceCapError):
+        spectrum_values(e, count=101, cap=100)
+    # L mode: a bound with exactly cap entries passes, one entry over raises
+    n = len(spectrum_values(e, L=6.0))
+    assert spectrum_values(e, L=6.0, cap=n) == spectrum_values(e, L=6.0)
+    with pytest.raises(ResourceCapError):
+        spectrum_values(e, L=6.0, cap=n - 1)
+
+
+def test_weyl_table_over_the_cap_fails_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        weyl_table(Ellipsoid(1.0, SQRT2), SPECTRUM_CAP)  # needs SPECTRUM_CAP + 1 entries
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+def test_spectrum_rejects_non_finite_bound(L):
+    with pytest.raises(ValueError, match="finite"):
+        spectrum_values(Ellipsoid(1.0, SQRT2), L=L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 20.0), st.floats(-2.0, 2.0), st.integers(1, 5000), st.floats(0.0, 1.0))
+def test_spectrum_matches_heap_oracle(a, log_ratio, count, frac):
+    # irrational aspect ratios from 1/100 to 100; the L bound keeps at most ~5000 entries
+    b = a * 10.0**log_ratio
+    e = Ellipsoid(a, b)
+    assume(not e.is_rational)
+    assert spectrum_values(e, count=count) == heap_spectrum_values(a, b, count=count)
+    L = frac * math.sqrt(2.0 * a * b * 5000)
+    assert spectrum_values(e, L=L) == heap_spectrum_values(a, b, L=L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5000), st.floats(0.0, 60.0))
+def test_formal_spectrum_matches_heap_oracle(p, q, count, L):
+    # rational ratios: coinciding values order by (m, n)
+    e = Ellipsoid(Fraction(p), Fraction(q))
+    assert spectrum_values(e, count=count, formal=True) == heap_spectrum_values(p, q, count=count)
+    assert spectrum_values(e, L=L, formal=True) == heap_spectrum_values(p, q, L=L)
+
+
+@pytest.mark.parametrize("n_mu, n_angle", [(160, 8), (200, 16)])
+def test_volume_quadrature_matches_pointwise_oracle(n_mu, n_angle):
+    # criterion 3's ten samples, then the round and a rational ellipsoid
+    rng = random.Random(7)
+    samples = [(1.0, SQRT2), (1.0, (1 + math.sqrt(5)) / 2), (3.0, math.pi)]
+    while len(samples) < 10:
+        samples.append((rng.uniform(0.5, 2.5), rng.uniform(0.5, 2.5)))
+    for a, b in samples + [(1.0, 1.0), (2.0, 3.0)]:
+        assert volume_quadrature(Ellipsoid(a, b), n_mu, n_angle) == pointwise_volume_quadrature(a, b, n_mu, n_angle)
+
+
+def test_gauss_legendre_rule_is_shared_and_immutable():
+    nodes, weights = _gauss_legendre(8)
+    assert _gauss_legendre(8)[0] is nodes
+    assert type(nodes) is tuple and type(weights) is tuple
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 160, 200])
