@@ -29,14 +29,14 @@ def _detect_rational(x: float) -> Optional[Fraction]:
     """Return Fraction(p, q) when the float x encodes a rational with
     denominator at most 1e6, else None.
 
-    Floats must beat the Diophantine-typical approximation quality c/q^2 by
-    a wide margin, so quadratic irrationals near the gate are not misflagged.
+    x encodes p/q when the float nearest p/q lies within 4 ulps of x, the
+    rounding error of a quotient of two short decimals.  The gate is no
+    wider because convergents with q <= 1e6 come within 1e-14 relative of
+    about one generic irrational in thirteen.
     """
     cand = Fraction(x).limit_denominator(10**6)
-    # a float that truly encodes p/q (q <= 1e6) is off by storage rounding
-    # only (~1e-16 relative); irrational best approximants sit orders of
-    # magnitude higher.  A nonzero x is never the rational 0.
-    if cand and abs(float(cand) - x) <= 1e-14 * abs(x):
+    # a nonzero x is never the rational 0
+    if cand and abs(float(cand) - x) <= 4 * math.ulp(x):
         return cand
     return None
 
@@ -47,7 +47,7 @@ class Ellipsoid:
 
     The aspect ratio a/b is probed for rationality at construction: exact
     Fraction inputs are tested exactly, and floats are treated as irrational
-    unless within 1e-14 (relative) of a rational with denominator <= 1e6.
+    unless within 4 ulps of a rational with denominator <= 1e6.
     """
 
     a: Union[float, Fraction]

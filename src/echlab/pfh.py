@@ -36,6 +36,7 @@ from .twist import (
     hofer_norm_bound,
     periodic_census,
     truncate_profile,
+    zero_profile,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -408,8 +409,6 @@ def axioms_report(
     Weyl table lists |c_d/d - Cal| per profile and flags whether it
     decreases along ds and lands within tolerance.
     """
-    from .twist import zero_profile
-
     ds = list(ds) if ds is not None else [16, 32, 64, 128]
     ds = [d for d in ds if d <= dmax] or [dmax]
 

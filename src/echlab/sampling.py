@@ -193,12 +193,12 @@ def threshold_multiplicity(theta: Rotation, m: int) -> bool:
     return m * a >= 2 * q and m * (q - a) >= 2 * q
 
 
-def _side_configs(theta_list: Sequence[Rotation], max_mult: int, two_orbits: bool, positive: bool):
+def _side_configs(theta_list: Sequence[Rotation], max_mult: int, max_orbits: int, positive: bool):
     """Every side configuration, in scan order, with its summed side terms.
 
-    Yields (x, y, t, number of ends, options): first each single option, per
-    rotation, multiplicity and end option; then, when ``two_orbits``, each pair
-    of options at two distinct rotation indices.  An option adds
+    Yields (x, y, t, number of ends, options): for k = 1 to ``max_orbits``,
+    each k distinct rotation indices in ``combinations`` order, and at those
+    rotations each product of their end options.  An option adds
     (e + cz, n + cze, s + 3e) on the positive side and (e - cz, n - cze, 3e - s)
     on the negative, in the notation of ``score_falsification_scan``.
     """
@@ -214,17 +214,16 @@ def _side_configs(theta_list: Sequence[Rotation], max_mult: int, two_orbits: boo
                 n = len(ends)
                 e = 2 * n - (0 if m0 > 0 else 1)
                 cz_ends = sum(cz_index(theta, k) for k in ends)
-                terms = (e + sign * cover.cz, n + sign * cz_ends, 3 * e + sign * cover.score, n)
-                opts.append((terms, (idx, m, ends, m0)))
+                opts.append((e + sign * cover.cz, n + sign * cz_ends, 3 * e + sign * cover.score, n,
+                             (idx, m, ends, m0)))
         per_theta.append(opts)
-    for opts in per_theta:
-        for terms, opt in opts:
-            yield (*terms, [opt])
-    if two_orbits:
-        for i1, i2 in combinations(range(len(theta_list)), 2):
-            for (x1, y1, t1, n1), o1 in per_theta[i1]:
-                for (x2, y2, t2, n2), o2 in per_theta[i2]:
-                    yield x1 + x2, y1 + y2, t1 + t2, n1 + n2, [o1, o2]
+    for k in range(1, min(max_orbits, len(theta_list)) + 1):
+        for indices in combinations(range(len(theta_list)), k):
+            side = [(0, 0, 0, 0, [])]
+            for i in indices:  # the product of the options, the last rotation's varying fastest
+                side = [(x + dx, y + dy, t + dt, n + dn, cfg + [opt])
+                        for x, y, t, n, cfg in side for dx, dy, dt, dn, opt in per_theta[i]]
+            yield from side
 
 
 def score_falsification_scan(
@@ -238,7 +237,7 @@ def score_falsification_scan(
 
     Returns the census of scanned curves and any violating instances (the
     expected outcome is none; universality is not claimed).  A side holds at
-    most ``max_orbits_per_side`` orbits, which must be 1 or 2.
+    most ``max_orbits_per_side`` orbits at distinct rotations, an integer >= 1.
 
     The scan is a join over side groups, not a loop over every (positive,
     negative, genus) triple: both index constraints and the total score split
@@ -267,10 +266,9 @@ def score_falsification_scan(
             Rotation.rational(4, 11),
             Rotation.rational(9, 13),
         ]
-    if max_orbits_per_side not in (1, 2):
-        raise ValueError(f"max_orbits_per_side must be 1 or 2, got {max_orbits_per_side!r}")
+    if not isinstance(max_orbits_per_side, int) or max_orbits_per_side < 1:
+        raise ValueError(f"max_orbits_per_side must be an integer >= 1, got {max_orbits_per_side!r}")
     theta_list = list(thetas)
-    two_orbits = max_orbits_per_side == 2
 
     def key(x, y, n):
         return (x, y, n == 1) if require_u_indices else (n == 1,)
@@ -285,7 +283,7 @@ def score_falsification_scan(
 
     def side_groups(positive: bool) -> dict:
         groups = {}  # key -> [configurations, least partial score]
-        for x, y, t, n, _ in _side_configs(theta_list, max_mult, two_orbits, positive):
+        for x, y, t, n, _ in _side_configs(theta_list, max_mult, max_orbits_per_side, positive):
             group = groups.setdefault(key(x, y, n), [0, t])
             group[0] += 1
             group[1] = min(group[1], t)
@@ -307,9 +305,9 @@ def score_falsification_scan(
     listed: List[dict] = []
     if min_score < 0:
         neg_members = {}  # key -> [(scan position, partial score, configuration)]
-        for i, (x, y, t, n, cfg) in enumerate(_side_configs(theta_list, max_mult, two_orbits, False)):
+        for i, (x, y, t, n, cfg) in enumerate(_side_configs(theta_list, max_mult, max_orbits_per_side, False)):
             neg_members.setdefault(key(x, y, n), []).append((i, t, cfg))
-        for x, y, tp, n, pcfg in _side_configs(theta_list, max_mult, two_orbits, True):
+        for x, y, tp, n, pcfg in _side_configs(theta_list, max_mult, max_orbits_per_side, True):
             kp = key(x, y, n)
             hits = []
             for gi, genus in enumerate(genus_range):

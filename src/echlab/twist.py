@@ -345,10 +345,6 @@ class PeriodicCircle:
     action: float
     labels: Tuple[str, ...] = ("e", "h")
 
-    @property
-    def rotation(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def disk_area_level(r: float) -> float:
     """E(r) = (1 - r^2)/2: the normalized area between radius r and the boundary."""

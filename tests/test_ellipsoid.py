@@ -38,13 +38,26 @@ def test_rationality_detection():
     assert not Ellipsoid(1.0, SQRT2).is_rational
     assert not Ellipsoid(1.0, 1 / SQRT2).is_rational
     assert Ellipsoid(1.5, 4.5).ratio_rational == Fraction(1, 3)
-    # the tolerance is relative: a tiny ratio is not the rational 0, and a
+    # the tolerance is in ulps of the ratio: a tiny ratio is not the rational 0, and a
     # small ratio that is rational is still found
     assert Ellipsoid(1e-20, 1.0).ratio_rational is None
     assert Ellipsoid(1e-200, 1e200).ratio_rational is None  # the ratio underflows to 0.0
     assert Ellipsoid(1.0, 7.0).ratio_rational == Fraction(1, 7)
     assert Ellipsoid(1e-3, 1.0).ratio_rational == Fraction(1, 1000)
     assert Ellipsoid(3e-6, 1.0).ratio_rational == Fraction(3, 1000000)
+    assert Ellipsoid(0.1, 0.3).ratio_rational == Fraction(1, 3)
+
+
+def test_irrational_ratios_near_a_convergent_stay_irrational():
+    # convergents with q <= 1e6 come within 1e-14 relative of these ratios, but not within 4 ulps
+    assert Ellipsoid(2.0, 0.03 * math.e).ratio_rational is None  # not 19515661/795736
+    assert Ellipsoid(math.pi, 0.01 * math.sqrt(3)).ratio_rational is None  # not 101108069/557438
+    rng = random.Random(20261019)
+    flagged = 0
+    for _ in range(2000):
+        a = rng.uniform(0.05, 20)
+        flagged += Ellipsoid(a, a * 10 ** rng.uniform(-2, 2)).is_rational
+    assert flagged <= 20
 
 
 def test_flow_identity_and_substitution():

@@ -3,11 +3,11 @@
 import json
 import math
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from echlab.orbits import cover_indices, tower_to_json
@@ -48,14 +48,9 @@ def triple_loop_scan(
                 for ends, m0 in _end_options(theta, m, positive):
                     opts.append((idx, m, ends, m0))
             per_theta.append(opts)
-        configs = [[o] for opts in per_theta for o in opts]
-        if max_orbits_per_side >= 2:
-            for i1, i2 in combinations_with_replacement(range(len(theta_list)), 2):
-                if i1 == i2:
-                    continue
-                for o1 in per_theta[i1]:
-                    for o2 in per_theta[i2]:
-                        configs.append([o1, o2])
+        configs = [list(picked) for k in range(1, max_orbits_per_side + 1)
+                   for indices in combinations(range(len(theta_list)), k)
+                   for picked in product(*(per_theta[i] for i in indices))]
         out = []
         for cfg in configs:
             s = e = ends = cz = cz_ends = 0
@@ -106,7 +101,7 @@ _reals = st.integers(0, 2**32 - 1).map(lambda seed: Rotation.real(random.Random(
 @given(
     thetas=st.lists(st.one_of(_rationals, _reals), min_size=1, max_size=3),
     max_mult=st.integers(4, 8),
-    max_orbits_per_side=st.sampled_from([1, 2]),
+    max_orbits_per_side=st.sampled_from([1, 2, 3]),
     genus_range=st.sampled_from([(0, 1, 2), (-1, 0, 1)]),
     require_u_indices=st.booleans(),
 )
@@ -114,7 +109,13 @@ _reals = st.integers(0, 2**32 - 1).map(lambda seed: Rotation.real(random.Random(
          max_orbits_per_side=2, genus_range=(-1, 0, 1), require_u_indices=False)
 @example(thetas=[Rotation.rational(4, 11), Rotation.rational(9, 13)], max_mult=8,
          max_orbits_per_side=2, genus_range=(-1, 0, 1), require_u_indices=True)
+# the listed violations end in two pairs of negative options: the order inside a pair is pinned
+@example(thetas=[Rotation.rational(17, 12), Rotation.rational(5, 11)], max_mult=5,
+         max_orbits_per_side=2, genus_range=(-1, 0, 1), require_u_indices=False)
+@example(thetas=[Rotation.rational(3, 7), Rotation.rational(4, 9), Rotation.rational(5, 11)], max_mult=6,
+         max_orbits_per_side=3, genus_range=(-1, 0, 1), require_u_indices=True)
 def test_grouped_join_matches_triple_loop(thetas, max_mult, max_orbits_per_side, genus_range, require_u_indices):
+    assume(max_orbits_per_side < 3 or max_mult <= 6)  # at most 8 options per rotation keeps the oracle fast
     args = (thetas, max_mult, max_orbits_per_side, genus_range, require_u_indices)
     assert score_falsification_scan(*args) == triple_loop_scan(*args)
 
@@ -131,17 +132,18 @@ def test_violations_listed_in_scan_order():
 
 
 def test_natural_bounds_scan_finds_no_violation():
-    for require_u_indices, expected in ((True, (11798, 2)), (False, (4941886, 1))):
-        scan = score_falsification_scan(require_u_indices=require_u_indices)
+    for k, require_u_indices, expected in ((2, True, (11798, 2)), (2, False, (4941886, 1)),
+                                           (3, True, (313992, 2)), (3, False, (406687714, 1))):
+        scan = score_falsification_scan(max_orbits_per_side=k, require_u_indices=require_u_indices)
         assert (scan["scanned"], scan["min_total_score"]) == expected
         assert scan["violations"] == 0 and scan["violating_curves"] == []
     assert score_falsification_scan(max_mult=9)["scanned"] == 4179
 
 
-@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("k", [0, -1, 1.5])
 def test_unsupported_orbits_per_side_is_rejected(k):
-    # a side pairs at most two orbits, so a bound other than 1 or 2 would be silently capped
-    with pytest.raises(ValueError, match=f"max_orbits_per_side must be 1 or 2, got {k}"):
+    # a side holds at least one orbit, and the bound counts orbits
+    with pytest.raises(ValueError, match=f"max_orbits_per_side must be an integer >= 1, got {k}"):
         score_falsification_scan(max_orbits_per_side=k)
 
 

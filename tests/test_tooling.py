@@ -1,13 +1,19 @@
-"""The benchmark's traced run wraps echlab names that must keep existing."""
+"""The benchmark's traced run wraps echlab names that must keep existing, and
+its pinned selftest digest must hold."""
 
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+from echlab.cli import RunConfig, run
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
 
 
 def test_traced_boundaries_resolve():
@@ -40,3 +46,13 @@ def test_importing_echlab_loads_no_oracle(oracle):
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_selftest_bundle_matches_the_benchmark_digest():
+    # the sweep workload hashes this bundle; a refactor must keep it byte-identical
+    with open(os.path.join(PERFBENCH, "expected.json")) as fh:
+        want = json.load(fh)["sweep"]["selftest_sha256"]
+    b = run(RunConfig("selftest", {}, seed=20260809))
+    bundle = [b.to_json(), {name: t.to_csv() for name, t in b.tables.items()}, b.plots]
+    text = json.dumps(bundle, sort_keys=True, default=str, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
