@@ -1,7 +1,7 @@
 """Orbit sets, curve data, topological index bookkeeping, and tower audits.
 
-Orbit actions are kept as exact Fractions wherever the caller supplies them
-that way, so the telescoping identities in tower audits hold exactly.
+Every orbit action is an exact Fraction (a float action is read as its exact
+binary value), so the telescoping identities in tower audits hold exactly.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .rotations import (
     Rotation,
@@ -67,7 +67,7 @@ class SimpleOrbit:
     """
 
     label: str
-    action: Union[Fraction, float]
+    action: Fraction
     theta: Rotation
     kind: str
     period: int = 1
@@ -77,8 +77,9 @@ class SimpleOrbit:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise StructuralError(f"unknown orbit kind {self.kind!r}")
-        if not (self.action > 0):
-            raise StructuralError(f"orbit action must be positive, got {self.action}")
+        if not 0 < self.action < math.inf:
+            raise StructuralError(f"orbit {self.label} action must be positive and finite, got {self.action}")
+        object.__setattr__(self, "action", Fraction(self.action))
         if self.kind == ELLIPTIC and self.theta.is_integral():
             raise StructuralError(f"elliptic orbit {self.label} has integral rotation")
         if self.kind == POSITIVE_HYPERBOLIC and not self.theta.is_integral():
@@ -102,10 +103,10 @@ class OrbitSet:
 
     Entries are sorted by label, and the invariants are computed once, at
     construction, and read-only: the total ``action`` (one Fraction over the
-    LCM of the entry denominators when every action is a Fraction, a float
-    otherwise), ``cz_top``, the score ``score`` and ``k``.  The indices are
-    defined for nondegenerate orbits only, so a real-lane orbit with a
-    degenerate cover raises DegenerateRotationError here.
+    LCM of the entry denominators, as every action is exact), ``cz_top``, the
+    score ``score`` and ``k``.  The indices are defined for nondegenerate
+    orbits only, so a real-lane orbit with a degenerate cover raises
+    DegenerateRotationError here.
     """
 
     __slots__ = ("_items", "_action", "_cz_top", "_score", "_k")
@@ -124,33 +125,27 @@ class OrbitSet:
         items = self._items = tuple(by_label[k] for k in sorted(by_label))
         # one pass: the exact action as an integer numerator over the running
         # LCM of the denominators seen, and the cover sums
-        num, common, exact = 0, 1, True
+        num, common = 0, 1
         cz_top = score = k = 0
         for o, m in items:
-            if exact and isinstance(o.action, Fraction):
-                den = o.action.denominator
-                if common % den:
-                    lcm = math.lcm(common, den)
-                    num *= lcm // common
-                    common = lcm
-                num += m * o.action.numerator * (common // den)
-            else:
-                exact = False
+            den = o.action.denominator
+            if common % den:
+                lcm = math.lcm(common, den)
+                num *= lcm // common
+                common = lcm
+            num += m * o.action.numerator * (common // den)
             cover = o.cover(m)
             cz_top += cover.cz
             score += cover.score
             k -= m > 1
-        if exact:
-            self._action = Fraction(num, common)
-        else:
-            self._action = float(sum((m * o.action for o, m in items), Fraction(0)))
+        self._action = Fraction(num, common)
         self._cz_top, self._score, self._k = cz_top, score, k
 
     def items(self) -> Tuple[Tuple[SimpleOrbit, int], ...]:
         return self._items
 
     @property
-    def action(self):
+    def action(self) -> Fraction:
         """Multiplicity-weighted total action; the empty set has action 0."""
         return self._action
 
@@ -218,7 +213,7 @@ class CurveEnds:
         object.__setattr__(self, "count", len(self.multiplicities))
 
 
-_ZERO = Fraction(0)  # the action of every zero-action exact curve, shared
+_ZERO = Fraction(0)  # the action of every zero-action curve, shared
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,7 +238,7 @@ class CurveData:
     alpha: OrbitSet
     beta: OrbitSet
     c_tau: int = 0
-    action: Union[Fraction, float] = field(init=False, repr=False, compare=False)
+    action: Fraction = field(init=False, repr=False, compare=False)
     j0: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -254,10 +249,9 @@ class CurveData:
         self._check_side(self.positive_ends, self.alpha, "positive")
         self._check_side(self.negative_ends, self.beta, "negative")
         act = self.alpha.action - self.beta.action
-        exact = type(act) is Fraction  # then the numerator's sign, without Fraction's ordering
-        if (act.numerator if exact else act) < 0:
+        if act.numerator < 0:  # the sign, without Fraction's ordering
             raise StructuralError(f"curve action must be nonnegative, got {act}")
-        object.__setattr__(self, "action", _ZERO if exact and not act.numerator else act)
+        object.__setattr__(self, "action", act if act.numerator else _ZERO)
         e = sum(2 * ends.count - (0 if ends.c0_present else 1)
                 for side in (self.positive_ends, self.negative_ends) for ends in side)
         object.__setattr__(self, "j0", -2 + 2 * self.genus + e)
@@ -363,7 +357,8 @@ def tower_audit(t: Tower, action_threshold) -> dict:
     reports ECH-index totals against 2N, counts high-action curves against
     the pigeonhole budget (sum of actions) / threshold, tallies the score
     census, and scans for low-action non-cylinders with negative total score
-    (expected none).
+    (expected none).  ``action_threshold`` (an int, a Fraction or a finite
+    float; a ValueError otherwise) is compared at its exact value.
     """
     n = len(t)
     scores = [total_score(c) for c in t.curves]
@@ -373,17 +368,16 @@ def tower_audit(t: Tower, action_threshold) -> dict:
 
     lhs_score = sum(scores)
     rhs_score = t.top.score - t.bottom.score + 3 * sum(ys)
-    if all(isinstance(a, Fraction) for a in actions) and isinstance(action_threshold, (int, Fraction)):
-        # exact integer numerators over one common denominator
-        common = math.lcm(action_threshold.denominator, *(a.denominator for a in actions))
-        keys = [a.numerator * (common // a.denominator) for a in actions]
-        threshold = action_threshold.numerator * (common // action_threshold.denominator)
-        lhs_action = Fraction(sum(keys), common)
-    else:  # mixed number types: sum and compare the values themselves
-        keys, threshold, lhs_action = actions, action_threshold, sum(actions)
+    if not -math.inf < action_threshold < math.inf:
+        raise ValueError(f"action threshold must be finite, got {action_threshold}")
+    exact = Fraction(action_threshold)  # compared as integer numerators over one common denominator
+    common = math.lcm(exact.denominator, *(a.denominator for a in actions))
+    keys = [a.numerator * (common // a.denominator) for a in actions]
+    threshold = exact.numerator * (common // exact.denominator)
+    lhs_action = Fraction(sum(keys), common)
     rhs_action = t.top.action - t.bottom.action
 
-    budget = float(lhs_action) / float(action_threshold) if action_threshold > 0 else math.inf
+    budget = float(lhs_action) / float(exact) if exact > 0 else math.inf
     high_action = [i for i, k in enumerate(keys) if k > threshold]
 
     negative_low_action = [
@@ -413,18 +407,12 @@ def tower_audit(t: Tower, action_threshold) -> dict:
 # --- JSON wire formats -----------------------------------------------------
 #
 # orbit: {"label": str, "action": [num, den] | float, "theta": [num, den] | float,
-#         "kind": str, "period": int}
+#         "kind": str, "period": int}; a float action reads as its exact [num, den]
 # orbit set: {"orbits": [orbit...], "entries": [[label, mult]...]}
 # curve: {"genus": int, "c_tau": int, "alpha": entries, "beta": entries,
 #         "positive_ends": [{"orbit": label, "multiplicities": [..], "c0": bool}...],
 #         "negative_ends": [...]}
 # tower: {"orbits": [orbit...], "curves": [curve...]} with per-curve entries lists.
-
-
-def _num_to_json(x):
-    if isinstance(x, Fraction):
-        return [x.numerator, x.denominator]
-    return float(x)
 
 
 class _Record(dict):
@@ -518,7 +506,7 @@ def orbit_to_json(o: SimpleOrbit) -> dict:
     theta = [o.theta.value.numerator, o.theta.value.denominator] if o.theta.exact else float(o.theta.value)
     return {
         "label": o.label,
-        "action": _num_to_json(o.action),
+        "action": [o.action.numerator, o.action.denominator],
         "theta": theta,
         "kind": o.kind,
         "period": o.period,

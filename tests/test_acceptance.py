@@ -6,7 +6,10 @@ with f(s) = s^-3 the truncated Calabi invariant is log(i) + 1/3, which
 cannot reach 50 by i = 20; see the decisions ledger.
 """
 
+import hashlib
+import json
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -23,7 +26,7 @@ from echlab.ellipsoid import (
     volume,
     volume_quadrature,
 )
-from echlab.orbits import forced_topology, tower_audit
+from echlab.orbits import forced_topology, tower_audit, tower_to_json
 from echlab.pfh import (
     axioms_report,
     build_complex,
@@ -50,8 +53,14 @@ from echlab.cli import RunConfig, run
 
 from oracles import hyperbolic_expectation
 
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 SQRT2 = math.sqrt(2)
 TWO_PI = 2 * math.pi
+
+
+def _sha256(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, default=str, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def report(number: int, passed: bool, detail: str):
@@ -222,13 +231,19 @@ def test_criterion_08_tower_telescoping():
     generation = time.perf_counter() - t0  # reported, not gated
     t0 = time.perf_counter()
     ok = True
+    reports = []
     for t in towers:
         rep = tower_audit(t, Fraction(1, 2))
         ok = ok and rep["score_telescoping_ok"] and rep["action_telescoping_ok"]
+        reports.append(rep)
     elapsed = time.perf_counter() - t0
-    report(8, ok and elapsed <= 2.0,
+    # the towers workload hashes these reports and every tenth tower's document
+    with open(os.path.join(PERFBENCH, "expected.json")) as fh:
+        want = json.load(fh)["towers"]
+    got = {"audit_sha256": _sha256(reports), "tower_json_sha256": _sha256([tower_to_json(t) for t in towers[::10]])}
+    report(8, ok and elapsed <= 2.0 and got == want,
            f"both telescoping identities exact on 100 towers of 1000 curves, audit {elapsed:.2f}s"
-           f" (generation {generation:.2f}s, ungated)")
+           f" (generation {generation:.2f}s, ungated), digests {'match' if got == want else 'differ'}")
 
 
 def test_criterion_09_score_scan():

@@ -399,6 +399,44 @@ def test_score_and_tower_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_float_action_tower_telescopes_exactly(tmp_path, capsys):
+    # a 50-curve tower with every orbit action perturbed as a float: float sums
+    # broke the identity by a few ulps, and each float now enters as its exact
+    # binary value
+    import random
+    from fractions import Fraction
+
+    from echlab.orbits import tower_audit, tower_from_json, tower_to_json
+    from echlab.sampling import random_tower
+
+    exact = tower_to_json(random_tower(random.Random(0), 50))
+    doc = json.loads(json.dumps(exact))
+    rng = random.Random(1000)
+    for o in doc["orbits"]:
+        num, den = o["action"]
+        o["action"] = num / den * (1 + rng.uniform(-1e-6, 1e-6))
+    rep = tower_audit(tower_from_json(doc), 0.1)
+    lhs, rhs = rep["action_telescoping"]["lhs"], rep["action_telescoping"]["rhs"]
+    assert rep["action_telescoping_ok"] and type(lhs) is type(rhs) is Fraction and lhs == rhs
+
+    # the CLI's verdicts and exit code on the float document are those of its
+    # exact twin (both exit 1: the random curves include zero-action
+    # non-cylinders of negative total score)
+    runs = []
+    for name, d in (("exact", exact), ("float", doc)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        code = main(["tower", "--input", str(path)])
+        runs.append((code, json.loads(capsys.readouterr().out)["verdicts"]))
+    assert runs[1] == runs[0] and runs[1][1]["action_telescoping"]["pass"]
+
+    # written back, a float action is its exact [num, 2^k] pair
+    again = tower_to_json(tower_from_json(doc))
+    for o, before in zip(again["orbits"], doc["orbits"]):
+        num, den = o["action"]
+        assert Fraction(num, den) == before["action"] and den & (den - 1) == 0
+
+
 def test_selftest_deterministic(tmp_path):
     b1 = run(RunConfig("selftest", {}, seed=11))
     b2 = run(RunConfig("selftest", {}, seed=11))

@@ -56,8 +56,9 @@ def test_orbit_kind_consistency():
         SimpleOrbit("bad", Fraction(1), Rotation.rational(2), ELLIPTIC)
     with pytest.raises(StructuralError):
         SimpleOrbit("bad", Fraction(1), Rotation.rational(1, 3), POSITIVE_HYPERBOLIC)
-    with pytest.raises(StructuralError):
-        SimpleOrbit("bad", Fraction(-1), Rotation.rational(1, 3), ELLIPTIC)
+    for action in (Fraction(-1), 0, math.nan, math.inf, -math.inf):
+        with pytest.raises(StructuralError, match="orbit bad action must be positive and finite"):
+            SimpleOrbit("bad", action, Rotation.rational(1, 3), ELLIPTIC)
 
 
 def test_orbit_set_action_examples():
@@ -143,11 +144,14 @@ def test_curve_invariants_enforced():
 
 
 def test_curve_action_sign_and_type_in_both_lanes():
-    fa = SimpleOrbit("fa", 2.5, Rotation.rational(1, 5), ELLIPTIC)
-    fb = SimpleOrbit("fb", 4.0, Rotation.rational(1, 5), ELLIPTIC)
-    for lo, hi, want in ((GAMMA_B, GAMMA_A, Fraction), (fa, fb, float), (GAMMA_B, fb, float)):
-        assert type(cylinder(hi, lo).action) is want and cylinder(hi, lo).action > 0
-        assert type(cylinder(hi, hi).action) is type(hi.action) and cylinder(hi, hi).action == 0
+    # a float action is read as its exact binary value, so every curve action is a Fraction
+    fa = SimpleOrbit("fa", 2.3, Rotation.rational(1, 5), ELLIPTIC)
+    fb = SimpleOrbit("fb", 4.1, Rotation.rational(1, 5), ELLIPTIC)
+    for lo, hi, want in ((GAMMA_B, GAMMA_A, Fraction(3)),
+                         (fa, fb, Fraction(4.1) - Fraction(2.3)),
+                         (GAMMA_B, fb, Fraction(4.1) - 2)):
+        assert type(cylinder(hi, lo).action) is Fraction and cylinder(hi, lo).action == want > 0
+        assert type(cylinder(hi, hi).action) is Fraction and cylinder(hi, hi).action == 0
         message = f"curve action must be nonnegative, got {lo.action - hi.action}$"
         with pytest.raises(StructuralError, match=message):
             cylinder(lo, hi)
@@ -241,6 +245,10 @@ def test_tower_audit_exact_telescoping():
     assert rep["action_telescoping_ok"]
     assert rep["score_telescoping"]["lhs"] == rep["score_telescoping"]["rhs"]
     assert rep["high_action_within_budget"]
+    assert tower_audit(t, 0.25) == rep  # a float threshold is compared at its exact value
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="action threshold must be finite"):
+            tower_audit(t, threshold)
 
 
 def test_tower_constant_sequence_telescopes_to_zero():
@@ -321,12 +329,14 @@ thresholds = st.one_of(
 
 @st.composite
 def orbit_pools(draw):
-    """Orbits o0..o5 with exact, float or mixed actions."""
+    """Orbits o0..o5 with exact, float or mixed actions; each keeps its action's exact value."""
     actions = draw(st.sampled_from([exact_actions, float_actions, st.one_of(exact_actions, float_actions)]))
-    return [
-        SimpleOrbit(f"o{i}", draw(actions), Rotation.rational(draw(st.sampled_from(POOL_THETAS))), ELLIPTIC)
-        for i in range(6)
-    ]
+    pool = []
+    for i in range(6):
+        action = draw(actions)
+        pool.append(SimpleOrbit(f"o{i}", action, Rotation.rational(draw(st.sampled_from(POOL_THETAS))), ELLIPTIC))
+        assert type(pool[-1].action) is Fraction and pool[-1].action == action  # == on a float is exact
+    return pool
 
 
 @st.composite
@@ -336,9 +346,8 @@ def entry_lists(draw, pool):
 
 
 def naive_action(entries):
-    """Reference action: the left-to-right Fraction sum in label order, a float if any action is."""
-    total = sum((m * o.action for o, m in sorted(entries, key=lambda e: e[0].label)), Fraction(0))
-    return total if all(isinstance(o.action, Fraction) for o, _ in entries) else float(total)
+    """Reference action: the left-to-right Fraction sum in label order."""
+    return sum((m * o.action for o, m in sorted(entries, key=lambda e: e[0].label)), Fraction(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -348,7 +357,7 @@ def test_orbit_set_action_matches_naive_sum(data):
     want = naive_action(entries)
     got = OrbitSet(entries).action
     assert got == want
-    assert type(got) is type(want)
+    assert type(got) is Fraction
 
 
 @st.composite
@@ -386,8 +395,7 @@ def test_tower_audit_matches_naive_sums(tower_and_entries, data):
         rep = tower_audit(t, threshold)
         assert rep["action_telescoping"] == {"lhs": lhs, "rhs": rhs}
         assert rep["action_telescoping_ok"] == (lhs == rhs)
-        if all(isinstance(a, Fraction) for a in actions):
-            assert type(rep["action_telescoping"]["lhs"]) is Fraction
+        assert type(rep["action_telescoping"]["lhs"]) is Fraction
         assert rep["high_action_count"] == sum(1 for a in actions if a > threshold)
         assert rep["negative_low_action_noncylinders"] == [
             i
@@ -406,10 +414,10 @@ def test_float_lane_audits_like_the_exact_tower():
     for o in doc["orbits"]:
         o["action"] = o["action"][0] / o["action"][1]
     floats = tower_from_json(doc)
-    assert all(type(c.action) is float for c in floats.curves)
+    assert all(type(c.action) is Fraction for c in floats.curves)
 
     for rep in (tower_audit(floats, threshold), tower_audit(t, float(threshold))):
-        assert rep["score_telescoping_ok"]
+        assert rep["score_telescoping_ok"] and rep["action_telescoping_ok"]
         assert rep["score_telescoping"] == exact["score_telescoping"]
         assert rep["high_action_count"] == exact["high_action_count"]
         assert rep["negative_low_action_noncylinders"] == exact["negative_low_action_noncylinders"]
