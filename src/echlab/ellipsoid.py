@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -52,16 +52,16 @@ class Ellipsoid:
 
     a: Union[float, Fraction]
     b: Union[float, Fraction]
+    ratio_rational: Optional[Fraction] = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("ellipsoid parameters must be positive")
-
-    @property
-    def ratio_rational(self) -> Optional[Fraction]:
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("ellipsoid parameters must be positive and finite")
         if isinstance(self.a, (int, Fraction)) and isinstance(self.b, (int, Fraction)):
-            return Fraction(self.a) / Fraction(self.b)
-        return _detect_rational(float(self.a) / float(self.b))
+            ratio = Fraction(self.a) / Fraction(self.b)
+        else:
+            ratio = _detect_rational(float(self.a) / float(self.b))
+        object.__setattr__(self, "ratio_rational", ratio)
 
     @property
     def is_rational(self) -> bool:
@@ -259,13 +259,10 @@ def volume_quadrature(e: Ellipsoid, n_mu: int = 200, n_angle: int = 16) -> float
         for c1, s1 in trig:
             x1, y1, u1, v1, e1, f1 = r1 * c1, r1 * s1, dr1 * c1, dr1 * s1, -r1 * s1, r1 * c1
             for x2, y2, u2, v2, e2, f2 in second:
-                # lam(p, dm) dlam(d1, d2) - lam(p, d1) dlam(dm, d2) + lam(p, d2) dlam(dm, d1)
-                acc += (0.5 * (x1 * v1 - y1 * u1 + x2 * v2 - y2 * u2)
-                        * ((e1 * 0.0 - f1 * 0.0) + (0.0 * f2 - 0.0 * e2))
-                        - 0.5 * (x1 * f1 - y1 * e1 + x2 * 0.0 - y2 * 0.0)
-                        * ((u1 * 0.0 - v1 * 0.0) + (u2 * f2 - v2 * e2))
-                        + 0.5 * (x1 * 0.0 - y1 * 0.0 + x2 * f2 - y2 * e2)
-                        * ((u1 * f1 - v1 * e1) + (u2 * 0.0 - v2 * 0.0)))
+                # lam(p, dm) dlam(d1, d2) - lam(p, d1) dlam(dm, d2) + lam(p, d2) dlam(dm, d1),
+                # where dlam(d1, d2) = 0 and the zero components of d1 and d2 drop out
+                acc += (0.5 * (x2 * f2 - y2 * e2) * (u1 * f1 - v1 * e1)
+                        - 0.5 * (x1 * f1 - y1 * e1) * (u2 * f2 - v2 * e2))
         total += w * acc * (TWO_PI / n_angle) ** 2
     return abs(total)
 

@@ -139,21 +139,6 @@ def cz_index(theta, m: int) -> int:
     return rot.scaled_floor(m) + rot.scaled_ceil(m)
 
 
-def _hull_path(points: list, upper: bool) -> list:
-    """Monotone-chain upper (concave) or lower (convex) boundary through sorted points."""
-    hull: list = []
-    for p in points:
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            c = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
-            if (upper and c >= 0) or (not upper and c <= 0):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
 def _lower_denominator(a: int, b: int, n: int) -> int:
     """Denominator of the largest fraction <= a/b (0 <= a < b) with denominator <= n.
 

@@ -3,7 +3,8 @@
 A profile is the twist angle f(r) >= 0 (radians) as a non-increasing function
 of the radius, represented piecewise by Laurent polynomials so that all the
 radial integrals are closed-form.  Sampled profiles are converted to
-piecewise-linear segments at construction.
+piecewise-linear segments at construction.  Every profile, from whichever
+constructor, is certified non-increasing and nonnegative when it is built.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ TWO_PI = 2.0 * math.pi
 # Calibration constants for the combinatorial model, recorded in every run
 # manifest.  The winding ("p") term of the level action is the symplectic
 # area between the periodic circle and the boundary, p_area_scale * E(r) with
-# E(r) = (1 - r^2)/2; the quadrature oracle fixes p_area_scale = 2*pi.  The
-# spectral invariant uses the radial staircase rule (see pfh module).
+# E(r) = (1 - r^2)/2; the quadrature oracle fixes p_area_scale = 2*pi, and
+# the chain complex's action coefficients read it from here.  The spectral
+# invariant uses the radial staircase rule (see pfh module).
 CALIBRATION = {
     "p_area_scale": TWO_PI,
     "reference_action": 0.0,
@@ -109,7 +111,7 @@ class TwistProfile:
     neighborhood of r = 1, which is required by the chain-complex export.
     """
 
-    def __init__(self, segments: Sequence[Segment], name: str = "profile", _certify: bool = True):
+    def __init__(self, segments: Sequence[Segment], name: str = "profile"):
         segs = sorted(segments, key=lambda s: s.lo)
         if not segs or abs(segs[0].lo) > 1e-15 or abs(segs[-1].hi - 1.0) > 1e-15:
             raise ValueError("segments must cover (0, 1]")
@@ -119,8 +121,7 @@ class TwistProfile:
         self.segments = tuple(segs)
         self.name = name
         self._los = [s.lo for s in self.segments]
-        if _certify:
-            self._certify_monotone()
+        self._certify_monotone()
 
     # -- certification and basic queries ------------------------------------
 
@@ -132,8 +133,9 @@ class TwistProfile:
                 s = lo + (seg.hi - lo) * j / _CERTIFY_SAMPLES
                 v = seg.value(s)
                 # the terms round at ~1e-16 of their size, so where a steep
-                # segment reaches 0 its value can come out slightly negative
-                if v < -1e-12 * max(1.0, sum(abs(c) * s**k for c, k in seg.terms)):
+                # segment reaches 0 its value can come out slightly negative;
+                # a NaN value fails the test too
+                if not v >= -1e-12 * max(1.0, sum(abs(c) * s**k for c, k in seg.terms)):
                     raise MonotonicityError(f"negative twist angle {v} at r={s}")
                 if v > prev_val + 1e-9 * max(1.0, abs(prev_val)):
                     raise MonotonicityError(f"profile increases near r={s}")
@@ -167,29 +169,26 @@ class TwistProfile:
 
     # -- integrals -----------------------------------------------------------
 
-    def hamiltonian(self, r: float) -> float:
-        """H(r) = integral of s f(s) ds over [r, 1]; the generating Hamiltonian."""
-        if r >= 1.0:
-            return 0.0
+    def _moment(self, r: float, weight: int) -> float:
+        """Integral of s**weight * f(s) over [r, 1]; from r <= 0 it is +inf when divergent."""
         if r <= 0.0:
-            return self.hamiltonian_at_center()
+            if self.segments[0].diverges_at_zero(weight):
+                return math.inf
+            r = 0.0
         total = 0.0
         for seg in self.segments:
             lo, hi = max(seg.lo, r), seg.hi
             if hi > lo:
-                total += seg.integral_weighted(lo, hi, 1)
+                total += seg.integral_weighted(lo, hi, weight)
         return total
 
-    def hamiltonian_at_center(self) -> float:
-        if self.segments[0].diverges_at_zero(1):
-            return math.inf
-        return sum(seg.integral_weighted(max(seg.lo, 0.0), seg.hi, 1) for seg in self.segments)
+    def hamiltonian(self, r: float) -> float:
+        """H(r) = integral of s f(s) ds over [r, 1]; the generating Hamiltonian."""
+        return 0.0 if r >= 1.0 else self._moment(r, 1)
 
     def calabi_closed_form(self) -> float:
         """Cal = integral of s^2 f(s) ds over [0, 1]; +inf when divergent."""
-        if self.segments[0].diverges_at_zero(2):
-            return math.inf
-        return sum(seg.integral_weighted(max(seg.lo, 0.0), seg.hi, 2) for seg in self.segments)
+        return self._moment(0.0, 2)
 
     # -- transforms -----------------------------------------------------------
 
@@ -206,10 +205,8 @@ class TwistProfile:
         return TwistProfile(segs, name=f"{self.name}+{other.name}")
 
     def scaled(self, factor: float) -> "TwistProfile":
-        if factor < 0:
-            raise ValueError("scale must be nonnegative")
         segs = [Segment(s.lo, s.hi, tuple((c * factor, k) for c, k in s.terms)) for s in self.segments]
-        return TwistProfile(segs, name=f"{factor}*{self.name}", _certify=False)
+        return TwistProfile(segs, name=f"{factor}*{self.name}")
 
     # -- serialization ---------------------------------------------------------
 
@@ -246,7 +243,7 @@ class TwistProfile:
 
 
 def zero_profile() -> TwistProfile:
-    return TwistProfile([Segment(0.0, 1.0, ((0.0, 0),))], name="zero", _certify=False)
+    return TwistProfile([Segment(0.0, 1.0, ((0.0, 0),))], name="zero")
 
 
 def constant_profile(c: float, support_end: float = 1.0, name: Optional[str] = None) -> TwistProfile:
@@ -255,7 +252,7 @@ def constant_profile(c: float, support_end: float = 1.0, name: Optional[str] = N
         segs = [Segment(0.0, 1.0, ((float(c), 0),))]
     else:
         segs = [Segment(0.0, support_end, ((float(c), 0),)), Segment(support_end, 1.0, ((0.0, 0),))]
-    return TwistProfile(segs, name=name or f"const{c}", _certify=False)
+    return TwistProfile(segs, name=name or f"const{c}")
 
 
 def linear_profile(height: float, support_end: float = 1.0, name: Optional[str] = None) -> TwistProfile:
@@ -264,18 +261,12 @@ def linear_profile(height: float, support_end: float = 1.0, name: Optional[str] 
     segs = [Segment(0.0, support_end, ((float(height), 0), (slope, 1)))]
     if support_end < 1.0:
         segs.append(Segment(support_end, 1.0, ((0.0, 0),)))
-    return TwistProfile(segs, name=name or f"linear{height}", _certify=False)
+    return TwistProfile(segs, name=name or f"linear{height}")
 
 
 def power_profile(exponent: int = -3, coefficient: float = 1.0, name: Optional[str] = None) -> TwistProfile:
     """f(s) = coefficient * s**exponent (exponent < 0 blows up at the center)."""
-    if exponent >= 0 or coefficient <= 0:
-        raise ValueError("power profiles model center singularities: exponent < 0, coefficient > 0")
-    return TwistProfile(
-        [Segment(0.0, 1.0, ((float(coefficient), exponent),))],
-        name=name or f"s^{exponent}",
-        _certify=False,
-    )
+    return TwistProfile([Segment(0.0, 1.0, ((float(coefficient), exponent),))], name=name or f"s^{exponent}")
 
 
 def profile_from_samples(r: Sequence[float], f: Sequence[float], name: str = "samples") -> TwistProfile:
@@ -332,7 +323,7 @@ def _hamiltonian_integral(f: TwistProfile) -> float:
 
 def hofer_norm_bound(f: TwistProfile) -> float:
     """Oscillation of the generating Hamiltonian: H(0) - H(1) = H(0); +inf when divergent."""
-    return f.hamiltonian_at_center()
+    return f.hamiltonian(0.0)
 
 
 @dataclass(frozen=True)
@@ -428,4 +419,4 @@ def truncate_profile(f: TwistProfile, i: int) -> TwistProfile:
         lo, hi = max(seg.lo, cut), seg.hi
         if hi > lo + 1e-15:
             segs.append(Segment(lo, hi, seg.terms))
-    return TwistProfile(segs, name=f"{f.name}|trunc{i}", _certify=False)
+    return TwistProfile(segs, name=f"{f.name}|trunc{i}")

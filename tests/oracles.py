@@ -5,7 +5,8 @@ import math
 
 from echlab.ellipsoid import TWO_PI, ResourceCapError, _gauss_legendre
 from echlab.orbits import CurveData, CurveEnds, OrbitSet, Tower
-from echlab.rotations import Partition, Rotation, _hull_path
+from echlab.pfh import _hull_path
+from echlab.rotations import Partition, Rotation
 from echlab.sampling import SET_MAX_MULT, SET_MAX_ORBITS, _splits, orbit_pool, pool_entries
 
 
@@ -185,3 +186,15 @@ def pointwise_volume_quadrature(a: float, b: float, n_mu: int, n_angle: int) -> 
                 acc += val
         total += w * acc * (TWO_PI / n_angle) ** 2
     return abs(total)
+
+
+def hofer_distance_bound(f, g, grid: int = 2048) -> float:
+    """Oracle for the Hofer-Lipschitz bound of ``pfh.axioms_report``: the
+    oscillation of H_f - H_g over the radii j / grid, with each difference
+    computed point by point from the two Hamiltonians."""
+    lo, hi = math.inf, -math.inf
+    for j in range(grid + 1):
+        r = j / grid
+        dv = f.hamiltonian(r) - g.hamiltonian(r)
+        lo, hi = min(lo, dv), max(hi, dv)
+    return hi - lo

@@ -48,6 +48,14 @@ def test_rationality_detection():
     assert Ellipsoid(0.1, 0.3).ratio_rational == Fraction(1, 3)
 
 
+def test_parameters_must_be_positive_and_finite():
+    for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (0.0, 1.0), (-1.0, 2.0)):
+        with pytest.raises(ValueError, match="ellipsoid parameters must be positive and finite"):
+            Ellipsoid(a, b)
+    # ratio_rational is derived from a and b, so it takes no part in equality or hashing
+    assert Ellipsoid(1.0, 2.0) == Ellipsoid(1.0, 2.0) and hash(Ellipsoid(1.0, 2.0)) == hash(Ellipsoid(1.0, 2.0))
+
+
 def test_irrational_ratios_near_a_convergent_stay_irrational():
     # convergents with q <= 1e6 come within 1e-14 relative of these ratios, but not within 4 ulps
     assert Ellipsoid(2.0, 0.03 * math.e).ratio_rational is None  # not 19515661/795736

@@ -27,6 +27,7 @@ from echlab.twist import (
     truncate_profile,
     zero_profile,
 )
+from oracles import hofer_distance_bound
 
 TWO_PI = 2 * math.pi
 
@@ -155,6 +156,30 @@ def test_axioms_report_on_pair():
     assert rep["monotonicity_applicable"] and rep["monotonicity_ok"]
     assert rep["hofer_lipschitz_ok"]
     assert all(row["slack"] >= -1e-12 for row in rep["hofer_lipschitz_rows"])
+
+
+def test_axioms_hofer_bound_and_dominance_match_pointwise_oracles():
+    # the ten truncation pairs of the benchmark's sweep workload, then pairs
+    # with H(0) = +inf on one side (bound +inf) and on both (inf - inf at r = 0)
+    f0 = linear_profile(1.5 * TWO_PI, support_end=0.97)
+    cubic = power_profile(-3)
+    pairs = [(f0, truncate_profile(f0, i)) for i in range(2, 12)]
+    pairs += [(cubic, truncate_profile(cubic, 4)), (cubic, power_profile(-3, coefficient=2.0))]
+    ds = (16, 32, 64, 128)
+    grid = [j / 512 for j in range(513)]
+    for f, g in pairs:
+        rep = axioms_report(f, g, dmax=128, ds=ds, weyl_tolerance=1.0)
+        hl = hofer_distance_bound(f, g)
+        assert [row["bound"] for row in rep["hofer_lipschitz_rows"]] == [d * hl for d in ds], g.name
+        cd_f, cd_g = rep["c_d_f"], rep["c_d_g"]
+        want = None
+        if all(f.hamiltonian(r) <= g.hamiltonian(r) + 1e-15 for r in grid):
+            want = all(cd_f[d] <= cd_g[d] for d in ds)
+        elif all(g.hamiltonian(r) <= f.hamiltonian(r) + 1e-15 for r in grid):
+            want = all(cd_g[d] <= cd_f[d] for d in ds)
+        assert rep["monotonicity_applicable"] == (want is not None), g.name
+        assert rep["monotonicity_ok"] == want, g.name
+    assert math.isinf(hofer_distance_bound(*pairs[-2])) and math.isfinite(hofer_distance_bound(*pairs[-1]))
 
 
 def test_axioms_identical_profiles():

@@ -1,6 +1,7 @@
-"""The benchmark's traced run wraps echlab names that must keep existing, and
-its pinned selftest digest must hold."""
+"""The benchmark's workloads and traced run use echlab names that must keep
+existing, and its pinned selftest digest must hold."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -26,6 +27,34 @@ def test_traced_boundaries_resolve():
                for targets in spans.BOUNDARIES.values()
                for owner, attr in targets if not hasattr(owner, attr)]
     assert spans.BOUNDARIES and not missing
+
+
+def test_workload_names_resolve():
+    # perfbench/workloads.py calls echlab through module attributes
+    # (pfh.spectral_invariant_cd, rotations.Rotation.real, ...); a refactor
+    # that drops one makes the benchmark run fail
+    with open(os.path.join(PERFBENCH, "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "echlab" for alias in node.names}
+    chains = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in modules:
+            chains.add((node.id, *attrs))
+    missing = []
+    for root, *attrs in chains:
+        owner = importlib.import_module(f"echlab.{modules[root]}")
+        for attr in attrs:
+            if not hasattr(owner, attr):
+                missing.append(".".join((root, *attrs)))
+                break
+            owner = getattr(owner, attr)
+    assert {("pfh", "spectral_invariant_cd"), ("rotations", "Rotation", "real")} <= chains
+    assert not missing, missing
 
 
 @pytest.mark.parametrize("oracle", ["scipy", "numpy"])

@@ -12,6 +12,7 @@ from echlab.twist import (
     FubiniCheckError,
     MonotonicityError,
     PlateauError,
+    Segment,
     TwistProfile,
     calabi,
     constant_profile,
@@ -39,7 +40,7 @@ def test_hamiltonian_closed_forms():
     f3 = power_profile(-3)
     for r in (0.1, 0.5, 0.9):
         assert abs(f3.hamiltonian(r) - (1 / r - 1)) < 1e-12
-    assert math.isinf(f3.hamiltonian_at_center())
+    assert math.isinf(f3.hamiltonian(0.0))
 
 
 def test_calabi_examples():
@@ -127,6 +128,29 @@ def test_hofer_norm_bound():
 def test_monotonicity_certificate():
     with pytest.raises(Exception):
         profile_from_samples([0.0, 0.5, 1.0], [1.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: constant_profile(-1.0), id="constant_profile(-1.0)"),
+    pytest.param(lambda: constant_profile(math.nan, support_end=0.9), id="constant_profile(nan)"),
+    pytest.param(lambda: constant_profile(-1.0, support_end=0.5), id="constant_profile(-1.0, support_end=0.5)"),
+    pytest.param(lambda: linear_profile(-2.0), id="linear_profile(-2.0)"),
+    pytest.param(lambda: linear_profile(-2.0, support_end=0.9), id="linear_profile(-2.0, support_end=0.9)"),
+    pytest.param(lambda: power_profile(-3, coefficient=-1.0), id="power_profile(-3, coefficient=-1.0)"),
+    pytest.param(lambda: power_profile(2), id="power_profile(2)"),
+    pytest.param(lambda: linear_profile(2.0, support_end=0.9).scaled(-1.0), id="scaled(-1.0)"),
+    pytest.param(lambda: profile_from_samples([0.0, 0.5, 1.0], [1.0, 2.0, 0.0]), id="profile_from_samples"),
+    pytest.param(lambda: TwistProfile([Segment(0.0, 1.0, ((0.0, 0), (1.0, 1)))]), id="TwistProfile"),
+    pytest.param(lambda: TwistProfile.from_json({"type": "piecewise", "segments": [
+        {"lo": 0.0, "hi": 0.9, "terms": [[-2.0, 0], [2.0 / 0.9, 1]]},
+        {"lo": 0.9, "hi": 1.0, "terms": [[0.0, 0]]}]}), id="from_json"),
+])
+def test_every_constructor_certifies(build):
+    # zero_profile takes no twist, and truncate_profile and + keep a certified
+    # profile non-increasing; every other way in must refuse a negative,
+    # increasing or undefined (NaN) twist
+    with pytest.raises(MonotonicityError):
+        build()
 
 
 def test_certificate_allows_rounding_where_a_steep_segment_reaches_zero():
