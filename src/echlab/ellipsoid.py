@@ -60,7 +60,13 @@ class Ellipsoid:
         if isinstance(self.a, (int, Fraction)) and isinstance(self.b, (int, Fraction)):
             ratio = Fraction(self.a) / Fraction(self.b)
         else:
-            ratio = _detect_rational(float(self.a) / float(self.b))
+            try:
+                x = float(self.a) / float(self.b)
+            except OverflowError:  # an exact parameter beyond the float range
+                x = math.nan
+            if not 0.0 < x < math.inf:
+                raise ValueError("ellipsoid aspect ratio a/b lies outside the float range")
+            ratio = _detect_rational(x)
         object.__setattr__(self, "ratio_rational", ratio)
 
     @property

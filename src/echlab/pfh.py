@@ -12,9 +12,10 @@ under rounding whenever the twist angle is non-increasing.
 The hot paths are exact integer code.  A level is named by its id, its
 position in the slope-descending census, so slope comparisons are id
 comparisons; an edge is an int tuple (level_id, mult, h) and a generator is
-(edges, ref).  Each level's action coefficient is computed once.  Homology
-ranks and persistence births come from one filtration-order reduction over
-the two-element field, with clearing.
+(edges, ref).  Each level's action coefficient is computed once, and the
+enumeration yields each generator's grading and action as it emits it.
+Homology ranks and persistence births come from the essential columns of one
+filtration-order reduction over the two-element field, with clearing.
 
 The spectral invariant c_d is the calibrated radial staircase value
 sum_{k=1..d} H(k/(d+1)); the run manifest records the calibration constants.
@@ -27,6 +28,7 @@ pattern) is what the validation suite pins down.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .twist import (
@@ -77,7 +79,9 @@ class TwistComplex:
     Level ids index ``levels`` (slope descending); the slope-0 reference
     edge has id ``len(levels)``.  An edge is the int tuple
     ``(level_id, mult, h)``; a generator is ``(edges, ref)`` with edges in
-    increasing id order and is its own key in ``index``.
+    increasing id order and is its own key in ``index``.  ``gradings`` and
+    ``actions`` are filled by the enumeration; the boundary and the
+    reduction are computed on first use and kept.
     """
 
     def __init__(self, profile: TwistProfile, degree: int, generator_cap: int = GENERATOR_CAP):
@@ -92,25 +96,32 @@ class TwistComplex:
         self._id_of = {(p, q): i for i, (p, q) in enumerate(zip(self._p, self._q))}
         H, scale = profile.hamiltonian, CALIBRATION["p_area_scale"]
         self._coef = [scale * c.p * disk_area_level(c.radius) - c.q * H(c.radius) for c in self.levels]
-        self.generators = self._enumerate(generator_cap)
+        self.generators, self.gradings, self.actions = self._enumerate(generator_cap)
         self.index: Dict[Generator, int] = {g: i for i, g in enumerate(self.generators)}
-        self.gradings = [self._grading(g) for g in self.generators]
-        self.actions = [self._action(g) for g in self.generators]
-        self._corners: Dict[Tuple[int, Optional[int]], Optional[Tuple[Edge, ...]]] = {}
         self._boundaries: Optional[List[List[int]]] = None
-        self._reduction: Optional[Tuple[Dict[int, int], List[int]]] = None
+        self._essential: Optional[List[int]] = None
 
     # -- enumeration -----------------------------------------------------------
 
-    def _enumerate(self, cap: int) -> List[Generator]:
+    def _enumerate(self, cap: int) -> Tuple[List[Generator], List[int], List[float]]:
+        """Every generator, depth first, with its grading and action.
+
+        The grading is 2 (L - (d+1)) - h + d, L the lattice points in
+        0 <= y <= path(x), 0 <= x <= degree: the flat reference path sits in
+        grading d.  The action sums the anchored m * (2 pi p E(r) - q H(r))
+        over the level edges in order.  The descent carries the points,
+        height, h-count and action of the path so far.
+        """
         gens: List[Generator] = []
-        q = self._q
+        gradings: List[int] = []
+        actions: List[float] = []
+        p, q, coef, d = self._p, self._q, self._coef, self.degree
         # least step width among levels i.., so a budget below it ends the path
-        min_q = q[:-1] + [self.degree + 1]
+        min_q = q[:-1] + [d + 1]
         for i in range(len(self.levels) - 1, -1, -1):
             min_q[i] = min(min_q[i], min_q[i + 1])
 
-        def recurse(i: int, budget: int, chosen: List[Edge]):
+        def recurse(i: int, budget: int, chosen: List[Edge], count: int, y: int, hs: int, action: float):
             if len(gens) > cap:
                 raise ComplexSizeError(
                     f"generator cap {cap} exceeded (at least {len(gens)} generators); "
@@ -118,48 +129,27 @@ class TwistComplex:
                 )
             if budget < min_q[i]:
                 gens.append((tuple(chosen), budget))
+                # the reference filler: budget + 1 columns of y + 1 points
+                gradings.append(2 * (count + (budget + 1) * (y + 1) - (d + 1)) - hs + d)
+                actions.append(action)
                 return
-            recurse(i + 1, budget, chosen)
+            recurse(i + 1, budget, chosen, count, y, hs, action)
+            pi, qi = p[i], q[i]
             m = 1
-            while m * q[i] <= budget:
+            while m * qi <= budget:
+                # columns x = 0..mq-1 under m primitive steps (q, p) from height y:
+                # sum of y + 1 + floor(p x / q), with sum_{r<q} floor(p r / q) =
+                # (p-1)(q-1)/2 for coprime p, q
+                points = count + m * qi * (y + 1) + pi * qi * m * (m - 1) // 2 + m * (pi - 1) * (qi - 1) // 2
+                edge_action = action + m * coef[i]
                 for h in (0, 1):
                     chosen.append((i, m, h))
-                    recurse(i + 1, budget - m * q[i], chosen)
+                    recurse(i + 1, budget - m * qi, chosen, points, y + m * pi, hs + h, edge_action)
                     chosen.pop()
                 m += 1
 
-        recurse(0, self.degree, [])
-        return gens
-
-    # -- grading and action --------------------------------------------------------
-
-    def _grading(self, g: Generator) -> int:
-        """2 (L - (d+1)) - h + d, L the lattice points in 0 <= y <= path(x),
-        0 <= x <= degree: the flat reference path sits in grading d."""
-        edges, ref = g
-        count = y = 0
-        for i, m, _ in edges:
-            # columns x = 0..mq-1 under m primitive steps (q, p) from height y:
-            # sum of y + 1 + floor(p x / q), with sum_{r<q} floor(p r / q) =
-            # (p-1)(q-1)/2 for coprime p, q
-            p, q = self._p[i], self._q[i]
-            count += m * q * (y + 1) + p * q * m * (m - 1) // 2 + m * (p - 1) * (q - 1) // 2
-            y += m * p
-        count += (ref + 1) * (y + 1)
-        d = self.degree
-        return 2 * (count - (d + 1)) - sum(e[2] for e in edges) + d
-
-    def _action(self, g: Generator) -> float:
-        """Relative (anchored) action: enclosed area-flux against the reference.
-
-        Per level edge this is m * (2 pi p E(r) - q H(r)), which equals
-        m q * integral_0^slope of 2 pi E(r(tau)) d tau, hence is nonnegative
-        and strictly decreases under corner rounding for monotone profiles.
-        """
-        total = 0.0
-        for i, m, _ in g[0]:
-            total += m * self._coef[i]
-        return total
+        recurse(0, d, [], 0, 0, 0, 0.0)
+        return gens, gradings, actions
 
     # -- differential ---------------------------------------------------------------
 
@@ -170,104 +160,102 @@ class TwistComplex:
         The steps are replaced by the maximal concave lattice path strictly
         below the corner vertex.  Returns None when that path descends or
         uses a slope outside the census.  The shape is translation invariant,
-        so each (a, b) pair is computed once.
+        so ``boundaries`` computes it once per (a, b) pair.
         """
-        key = (a, b)
-        if key in self._corners:
-            return self._corners[key]
         pa, qa = self._p[a], self._q[a]
         pb, qb = (0, 0) if b is None else (self._p[b], self._q[b])
         # column maxima under the two old primitive segments from u = (0, 0)
         # through the corner v = (qa, pa), excluding v itself
         pts = [(x, (pa * x) // qa) for x in range(qa)] + [(qa, pa - 1)]
         pts += [(qa + x, pa + (pb * x) // qb) for x in range(1, qb + 1)]
-        zone: Optional[Tuple[Edge, ...]] = ()
+        zone: Tuple[Edge, ...] = ()
         hull = _hull_path(pts, upper=True)
         for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
             dx, dy = x1 - x0, y1 - y0
             g = math.gcd(dx, dy)
             level = self._id_of.get((dy // g, dx // g))
             if level is None:  # descending, or off the census: no generator path
-                zone = None
-                break
+                return None
             zone += ((level, g, 0),)
-        self._corners[key] = zone
         return zone
 
-    def boundary(self, gi: int) -> List[int]:
-        """Indices of the generators in d(generator i), over the two-element field.
+    def boundaries(self) -> List[List[int]]:
+        """Indices of the generators in d(generator i), for every i, over the two-element field.
 
         One term per corner and per valid relabeling of the rounded zone with
         total h-count one less than before: the surviving h (when the corner
         joined two h edges) may sit on any zone edge, at most one per level
         and never on a flat run.
         """
-        edges, ref = self.generators[gi]
-        if ref:
-            edges += ((self.ref_id, ref, 0),)
-        counts: Dict[int, int] = {}
-        last = len(edges) - 1
-        for corner, (a, ma, ha) in enumerate(edges):
-            b, mb, hb = edges[corner + 1] if corner < last else (None, 0, 0)
-            zone_h = ha + hb
-            if zone_h == 0:
-                continue
-            hull = self._corner_hull(a, b)
-            if hull is None:
-                continue
-            # incoming remainder, hull edges, outgoing remainder
-            zone = ((a, ma - 1, 0),) if ma > 1 else ()
-            zone += hull
-            if mb > 1:
-                zone += ((b, mb - 1, 0),)
-            head, rest = edges[:corner], edges[corner + 2 :]
-            slots = [None]
-            if zone_h == 2:
-                slots = [j for j, e in enumerate(zone) if e[0] != self.ref_id]
-            for slot in slots:
-                labeled = tuple((i, m, 1 if j == slot else 0) for j, (i, m, _) in enumerate(zone))
-                # zone slopes lie strictly between its neighbours': the path stays strictly ordered
-                path = head + labeled + rest
-                if path[-1][0] == self.ref_id:
-                    target = path[:-1], path[-1][1]
-                else:
-                    target = path, 0
-                ti = self.index.get(target)
-                if ti is not None:
-                    counts[ti] = counts.get(ti, 0) + 1
-        return [ti for ti, c in counts.items() if c % 2 == 1]
-
-    def boundaries(self) -> List[List[int]]:
-        if self._boundaries is None:
-            self._boundaries = [self.boundary(i) for i in range(len(self.generators))]
-        return self._boundaries
+        if self._boundaries is not None:
+            return self._boundaries
+        hulls: Dict[Tuple[int, Optional[int]], Optional[Tuple[Edge, ...]]] = {}
+        index, ref_id = self.index, self.ref_id
+        bnds: List[List[int]] = []
+        for edges, ref in self.generators:
+            if ref:
+                edges += ((ref_id, ref, 0),)
+            counts: Dict[int, int] = {}
+            last = len(edges) - 1
+            for corner, (a, ma, ha) in enumerate(edges):
+                b, mb, hb = edges[corner + 1] if corner < last else (None, 0, 0)
+                zone_h = ha + hb
+                if zone_h == 0:
+                    continue
+                if (a, b) not in hulls:
+                    hulls[a, b] = self._corner_hull(a, b)
+                hull = hulls[a, b]
+                if hull is None:
+                    continue
+                # incoming remainder, hull edges, outgoing remainder
+                zone = ((a, ma - 1, 0),) if ma > 1 else ()
+                zone += hull
+                if mb > 1:
+                    zone += ((b, mb - 1, 0),)
+                head, rest = edges[:corner], edges[corner + 2 :]
+                slots = [None]
+                if zone_h == 2:
+                    slots = [j for j, e in enumerate(zone) if e[0] != ref_id]
+                for slot in slots:
+                    labeled = tuple((i, m, 1 if j == slot else 0) for j, (i, m, _) in enumerate(zone))
+                    # zone slopes lie strictly between its neighbours': the path stays strictly ordered
+                    path = head + labeled + rest
+                    if path[-1][0] == ref_id:
+                        target = path[:-1], path[-1][1]
+                    else:
+                        target = path, 0
+                    ti = index.get(target)
+                    if ti is not None:
+                        counts[ti] = counts.get(ti, 0) + 1
+            bnds.append([ti for ti, c in counts.items() if c % 2 == 1])
+        self._boundaries = bnds
+        return bnds
 
     # -- homology -----------------------------------------------------------------
 
-    def _reduce(self) -> Tuple[Dict[int, int], List[int]]:
-        """One filtration-order reduction of the boundary over GF(2), with clearing.
+    def _reduce(self) -> List[int]:
+        """The essential columns of one filtration-order reduction over GF(2), with clearing.
 
         Rows and columns sit in filtration order (action, then grading, then
         generator order).  Gradings are reduced from the top down, so a column
         that is already the pivot row of a higher column is skipped: it
         reduces to zero (Chen-Kerber, "Persistent homology computation with a
-        twist").  Returns the pivot count per grading (the rank of the
-        boundary out of it) and the essential columns in filtration order.
+        twist").  The differential lowers grading by exactly one, so every
+        pivot row of a grading is known before the grading is reduced, and a
+        column that reduces to zero there stays unpaired: it is essential.
+        They come grading by grading from the top, each in filtration order.
         """
-        if self._reduction is None:
-            bnds = self.boundaries()
-            order = sorted(
-                range(len(self.generators)), key=lambda i: (self.actions[i], self.gradings[i])
-            )
+        if self._essential is None:
+            bnds, gradings = self.boundaries(), self.gradings
+            order = sorted(range(len(gradings)), key=lambda i: (self.actions[i], gradings[i]))
             pos = [0] * len(order)
             for k, gi in enumerate(order):
                 pos[gi] = k
             by_grading: Dict[int, List[int]] = {}
             for gi in order:
-                by_grading.setdefault(self.gradings[gi], []).append(gi)
+                by_grading.setdefault(gradings[gi], []).append(gi)
             pivots: Dict[int, int] = {}  # low row -> reduced column
-            rank_out: Dict[int, int] = {}
-            paired = set()  # columns with a nonzero reduced column
+            essential: List[int] = []
             for g in sorted(by_grading, reverse=True):
                 for gi in by_grading[g]:
                     if pos[gi] in pivots:
@@ -279,54 +267,38 @@ class TwistComplex:
                         low = col.bit_length() - 1
                         if low not in pivots:
                             pivots[low] = col
-                            paired.add(gi)
-                            rank_out[g] = rank_out.get(g, 0) + 1
                             break
                         col ^= pivots[low]
-            essential = [gi for gi in order if gi not in paired and pos[gi] not in pivots]
-            self._reduction = rank_out, essential
-        return self._reduction
+                    else:
+                        essential.append(gi)
+            self._essential = essential
+        return self._essential
 
     def homology_ranks(self) -> Dict[int, int]:
-        """Rank of homology per grading, over the two-element field."""
-        rank_out, _ = self._reduce()
-        sizes: Dict[int, int] = {}
-        for g in self.gradings:
-            sizes[g] = sizes.get(g, 0) + 1
-        ranks: Dict[int, int] = {}
-        for g, n in sizes.items():
-            h = n - rank_out.get(g, 0) - rank_out.get(g + 1, 0)
-            if h:
-                ranks[g] = h
-        return ranks
+        """Rank of homology per grading, over the two-element field: its essential columns."""
+        return dict(Counter(self.gradings[gi] for gi in self._reduce()))
 
     def validate(self, action_floor: float = 0.0) -> dict:
-        """Structural checks: d^2 = 0, action decrease, grading drop, rank pattern.
+        """Structural checks: grading drop, action decrease, d^2 = 0, rank pattern.
 
         ``action_floor`` is the configured positivity floor every nonzero
-        differential entry must clear.
+        differential entry must clear.  The first three are checked per
+        generator, in one pass over the boundary lists.
         """
-        bnds = self.boundaries()
-        # d^2 = 0
-        for i in range(len(self.generators)):
-            acc: Dict[int, int] = {}
-            for t in bnds[i]:
-                for t2 in bnds[t]:
-                    acc[t2] = acc.get(t2, 0) + 1
-            if any(c % 2 for c in acc.values()):
-                raise CalibrationError(f"d^2 != 0 at generator {self.generators[i]}")
-        # grading drop and action decrease
+        bnds, gradings, actions = self.boundaries(), self.gradings, self.actions
         min_drop = math.inf
-        for i in range(len(self.generators)):
-            for t in bnds[i]:
-                if self.gradings[i] - self.gradings[t] != 1:
-                    raise CalibrationError(
-                        f"grading drop {self.gradings[i] - self.gradings[t]} != 1"
-                    )
-                drop = self.actions[i] - self.actions[t]
+        for i, targets in enumerate(bnds):
+            square = set()  # d(d(generator i)) over GF(2); boundary lists hold distinct indices
+            for t in targets:
+                if gradings[i] - gradings[t] != 1:
+                    raise CalibrationError(f"grading drop {gradings[i] - gradings[t]} != 1")
+                drop = actions[i] - actions[t]
                 if drop <= action_floor:
                     raise CalibrationError(f"differential fails to decrease action ({drop})")
                 min_drop = min(min_drop, drop)
+                square.symmetric_difference_update(bnds[t])
+            if square:
+                raise CalibrationError(f"d^2 != 0 at generator {self.generators[i]}")
         ranks = self.homology_ranks()
         d = self.degree
         bad_parity = [g for g in ranks if (g - d) % 2 != 0]
@@ -352,7 +324,7 @@ class TwistComplex:
         gives its homology class the filtration level at which it appears.
         """
         births: Dict[int, float] = {}
-        for gi in self._reduce()[1]:
+        for gi in self._reduce():
             births.setdefault(self.gradings[gi], self.actions[gi])
         return births
 

@@ -134,8 +134,9 @@ class TwistProfile:
                 v = seg.value(s)
                 # the terms round at ~1e-16 of their size, so where a steep
                 # segment reaches 0 its value can come out slightly negative;
-                # a NaN value fails the test too
-                if not v >= -1e-12 * max(1.0, sum(abs(c) * s**k for c, k in seg.terms)):
+                # the scale of that rounding is summed only for a value below 0,
+                # and a NaN value fails both tests
+                if not v >= 0.0 and not v >= -1e-12 * max(1.0, sum(abs(c) * s**k for c, k in seg.terms)):
                     raise MonotonicityError(f"negative twist angle {v} at r={s}")
                 if v > prev_val + 1e-9 * max(1.0, abs(prev_val)):
                     raise MonotonicityError(f"profile increases near r={s}")

@@ -97,6 +97,8 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
          "error: generator cap 1000 exceeded"),
         (["ellipsoid", "spectrum", "--a", "1", "--b", "2"], "error: rational aspect ratio"),
         (["ellipsoid", "census", "--a", "-1", "--b", "2"], "error: ellipsoid parameters must be positive"),
+        (["ellipsoid", "census", "--a", "1e300", "--b", "1e-300"],
+         "error: ellipsoid aspect ratio a/b lies outside the float range"),
         (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--L", "30", "--cap", "5"],
          "error: spectrum entry cap 5 exceeded"),
         (["ellipsoid", "census", "--a", "1/0", "--b", "2"],

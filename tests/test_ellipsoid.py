@@ -41,7 +41,6 @@ def test_rationality_detection():
     # the tolerance is in ulps of the ratio: a tiny ratio is not the rational 0, and a
     # small ratio that is rational is still found
     assert Ellipsoid(1e-20, 1.0).ratio_rational is None
-    assert Ellipsoid(1e-200, 1e200).ratio_rational is None  # the ratio underflows to 0.0
     assert Ellipsoid(1.0, 7.0).ratio_rational == Fraction(1, 7)
     assert Ellipsoid(1e-3, 1.0).ratio_rational == Fraction(1, 1000)
     assert Ellipsoid(3e-6, 1.0).ratio_rational == Fraction(3, 1000000)
@@ -51,6 +50,10 @@ def test_rationality_detection():
 def test_parameters_must_be_positive_and_finite():
     for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (0.0, 1.0), (-1.0, 2.0)):
         with pytest.raises(ValueError, match="ellipsoid parameters must be positive and finite"):
+            Ellipsoid(a, b)
+    # finite parameters whose float ratio overflows, underflows to 0 or cannot be formed
+    for a, b in ((1e300, 1e-300), (1e-300, 1e300), (1e-200, 1e200), (10**400, 1.0), (1.0, 10**400)):
+        with pytest.raises(ValueError, match="aspect ratio a/b lies outside the float range"):
             Ellipsoid(a, b)
     # ratio_rational is derived from a and b, so it takes no part in equality or hashing
     assert Ellipsoid(1.0, 2.0) == Ellipsoid(1.0, 2.0) and hash(Ellipsoid(1.0, 2.0)) == hash(Ellipsoid(1.0, 2.0))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -240,6 +241,27 @@ def test_boundary_squares_to_zero_sparse_oracle():
         d = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
         square = (d @ d).toarray() % 2
         assert not square.any()
+
+
+def test_validate_detects_a_nonzero_square():
+    # drop from d(generator i) one target t that has a boundary of its own: the
+    # remaining entries still drop grading and action, but d(d(i)) = d(t) != 0
+    cx = build_complex(SAMPLE_PROFILES[2], 5)
+    bnds = cx.boundaries()
+    i, t = next((i, t) for i, targets in enumerate(bnds) for t in targets if bnds[t])
+    bnds[i].remove(t)
+    with pytest.raises(CalibrationError, match=r"d\^2 != 0"):
+        cx.validate()
+
+
+def test_generator_counts_match_the_benchmark_table():
+    # the complex workload checks these counts against perfbench/expected.json
+    # (read only here); enumeration alone fixes them
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")
+    with open(path) as fh:
+        want = json.load(fh)["complex"]["generators"]
+    got = {f.name: [len(build_complex(f, d).generators) for d in range(1, 12)] for f in CRITERION_10_PROFILES}
+    assert got == want
 
 
 def test_action_floor_parameter():
