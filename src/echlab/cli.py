@@ -182,7 +182,7 @@ def _ellipsoid_return_map(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
     n = cfg.params["points"]
     rng = random.Random(cfg.seed)
-    expected = (2 * math.pi * float(e.a) / float(e.b)) % (2 * math.pi)
+    expected = (2 * math.pi * e.a / e.b) % (2 * math.pi)
     rows = []
     worst = 0.0
     for _ in range(n):
@@ -190,7 +190,7 @@ def _ellipsoid_return_map(cfg: RunConfig, bundle: ReportBundle):
         (r2, a2), rt = el.gss_return_map(e, pt)
         delta = abs((a2 - pt[1]) % (2 * math.pi) - expected)
         delta = min(delta, 2 * math.pi - delta)
-        worst = max(worst, delta, abs(r2 - pt[0]), abs(rt - float(e.a)))
+        worst = max(worst, delta, abs(r2 - pt[0]), abs(rt - e.a))
         rows.append((pt[0], pt[1], r2, a2, rt))
     bundle.add_table("return_map", ["r_in", "angle_in", "r_out", "angle_out", "return_time"], rows)
     bundle.add_verdict("return_map_rotation", worst <= 1e-9, margin=1e-9 - worst)
@@ -298,8 +298,8 @@ def _partitions(cfg: RunConfig, bundle: ReportBundle):
     m = cfg.params["m"]
     pp = partition_positive(theta, m)
     pn = partition_negative(theta, m)
-    bundle.add_table("partitions", ["side", "parts"], [("positive", " ".join(map(str, pp.parts))),
-                                                       ("negative", " ".join(map(str, pn.parts)))])
+    bundle.add_table("partitions", ["side", "parts"], [("positive", " ".join(map(str, pp))),
+                                                       ("negative", " ".join(map(str, pn)))])
     bundle.manifest["cz_index"] = cz_index(theta, m)
     if m >= 2 and not theta.is_integral():
         rep = partition_properties(theta, m)

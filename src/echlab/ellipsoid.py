@@ -46,8 +46,10 @@ class Ellipsoid:
     """Parameters (a, b) of E(a,b); actions of the two core orbits.
 
     The aspect ratio a/b is probed for rationality at construction: exact
-    Fraction inputs are tested exactly, and floats are treated as irrational
-    unless within 4 ulps of a rational with denominator <= 1e6.
+    int or Fraction inputs are tested exactly, and floats are treated as
+    irrational unless within 4 ulps of a rational with denominator <= 1e6.
+    a and b are then stored as floats; a parameter or a ratio a/b with no
+    positive finite float is refused.
     """
 
     a: Union[float, Fraction]
@@ -57,17 +59,19 @@ class Ellipsoid:
     def __post_init__(self):
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
             raise ValueError("ellipsoid parameters must be positive and finite")
+        try:
+            a, b = float(self.a), float(self.b)
+        except OverflowError:  # an exact parameter beyond the float range
+            a = b = math.nan
+        x = a / b if b else math.nan
+        if not (0.0 < a < math.inf and 0.0 < x < math.inf):
+            raise ValueError("ellipsoid aspect ratio a/b lies outside the float range")
         if isinstance(self.a, (int, Fraction)) and isinstance(self.b, (int, Fraction)):
             ratio = Fraction(self.a) / Fraction(self.b)
         else:
-            try:
-                x = float(self.a) / float(self.b)
-            except OverflowError:  # an exact parameter beyond the float range
-                x = math.nan
-            if not 0.0 < x < math.inf:
-                raise ValueError("ellipsoid aspect ratio a/b lies outside the float range")
             ratio = _detect_rational(x)
-        object.__setattr__(self, "ratio_rational", ratio)
+        for name, value in (("a", a), ("b", b), ("ratio_rational", ratio)):
+            object.__setattr__(self, name, value)
 
     @property
     def is_rational(self) -> bool:
@@ -94,8 +98,8 @@ class FlowState:
 def reeb_flow(e: Ellipsoid, s: FlowState, t: float) -> FlowState:
     """Time-t Reeb flow: each angle advances linearly, mu is preserved."""
     return FlowState(
-        theta1=(s.theta1 + TWO_PI * t / float(e.a)) % TWO_PI,
-        theta2=(s.theta2 + TWO_PI * t / float(e.b)) % TWO_PI,
+        theta1=(s.theta1 + TWO_PI * t / e.a) % TWO_PI,
+        theta2=(s.theta2 + TWO_PI * t / e.b) % TWO_PI,
         mu=s.mu,
     )
 
@@ -110,7 +114,7 @@ def simple_orbit_census(e: Ellipsoid, L: float) -> List[dict]:
     """
     if L <= 0:
         raise ValueError("action bound must be positive")
-    a, b = float(e.a), float(e.b)
+    a, b = e.a, e.b
     out: List[dict] = []
     for label, action, other in (("gamma1", a, b), ("gamma2", b, a)):
         if action <= L:
@@ -162,7 +166,7 @@ def spectrum_values(
     if e.is_rational and not formal:
         raise ValueError("rational aspect ratio: the spectrum has coinciding values; "
                          "pass formal=True for the formal lattice spectrum")
-    a, b = float(e.a), float(e.b)
+    a, b = e.a, e.b
     big = math.nextafter(math.inf, 0.0)  # a count's bound stays finite, so rows end before overflow
     bound = L * (1 + 1e-15) if count is None else min(math.sqrt(2.0 * count * a) * math.sqrt(b) + a + b, big)
     while True:
@@ -213,7 +217,7 @@ def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
 
 def volume(e: Ellipsoid) -> float:
     """Contact volume of the boundary: the closed form a*b."""
-    return float(e.a) * float(e.b)
+    return e.a * e.b
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +254,7 @@ def volume_quadrature(e: Ellipsoid, n_mu: int = 200, n_angle: int = 16) -> float
     integrates with Gauss-Legendre in mu and trapezoids in the angles.  Never
     consults the closed form.
     """
-    a, b = float(e.a), float(e.b)
+    a, b = e.a, e.b
     trig = [(math.cos(t), math.sin(t)) for t in (TWO_PI * j / n_angle for j in range(n_angle))]
     total = 0.0
     for x, w in zip(*_gauss_legendre(n_mu)):
@@ -282,7 +286,7 @@ def gss_return_map(e: Ellipsoid, point: Tuple[float, float]) -> Tuple[Tuple[floa
     radius, angle = point
     if not (0.0 <= radius < 1.0):
         raise ValueError("point on binding orbit" if radius >= 1.0 else "radius fraction must be in [0, 1)")
-    a, b = float(e.a), float(e.b)
+    a, b = e.a, e.b
     return (radius, (angle + TWO_PI * a / b) % TWO_PI), a
 
 
@@ -290,7 +294,7 @@ def product_of_periods_check(e: Ellipsoid) -> dict:
     """Two-orbit identity: the product of the two simple periods equals the volume."""
     if e.is_rational:
         raise ValueError("not a two-orbit flow")
-    prod = float(e.a) * float(e.b)
+    prod = e.a * e.b
     vol = volume(e)
     diff = abs(prod - vol)
     return {

@@ -51,7 +51,7 @@ def cover_indices(theta: Rotation, m: int) -> Cover:
     """
     pp = partition_positive(theta, m)
     pn = partition_negative(theta, m)
-    p_plus, p_minus, special = pp.parts == (m,), pn.parts == (m,), m > 1 and 1 not in pp
+    p_plus, p_minus, special = pp == (m,), pn == (m,), m > 1 and 1 not in pp
     return Cover(cz_index(theta, m), p_plus, p_minus, special, p_plus + special - p_minus)
 
 

@@ -13,7 +13,6 @@ k <= m in one loop, ``_check_covers``.  Exact rationals need no guard.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -98,34 +97,6 @@ class Rotation:
         return _near_integer(self.value - 0.5)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A multiset of positive integers, canonically sorted descending."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"partition parts must be positive: {self.parts}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def as_multiset(self) -> dict:
-        return dict(Counter(self.parts))
-
-    def disjoint_from(self, other: "Partition") -> bool:
-        return not (set(self.parts) & set(other.parts))
-
-
 def cz_index(theta, m: int) -> int:
     """Conley-Zehnder index of the m-fold cover: floor(m*theta) + ceil(m*theta).
 
@@ -162,7 +133,8 @@ def _lower_denominator(a: int, b: int, n: int) -> int:
 
 
 def _greedy_parts(a: int, b: int, m: int) -> tuple:
-    """Parts of the maximal concave lattice path under y = (a/b)x over width m, largest first."""
+    """Parts of the maximal concave lattice path under y = (a/b)x over width m, largest first:
+    each next denominator is at most the width left, m mod d < d, so the parts never rise."""
     parts: list = []
     while m:
         d = _lower_denominator(a, b, m)
@@ -187,12 +159,13 @@ def _partitions(rot: Rotation, m: int) -> tuple:
     if not rot.exact:
         _check_covers(rot.value, m)
     p, q = rot.ratio()
-    return Partition(_greedy_parts(p % q, q, m)), Partition(_greedy_parts(-p % q, q, m))
+    return _greedy_parts(p % q, q, m), _greedy_parts(-p % q, q, m)
 
 
-def partition_positive(theta, m: int) -> Partition:
-    """Positive partition p+_theta(m): horizontal displacements of the maximal
-    concave lattice path below y = theta*x from (0,0) to (m, floor(m*theta)).
+def partition_positive(theta, m: int) -> tuple:
+    """Positive partition p+_theta(m), a tuple of ints largest first: horizontal
+    displacements of the maximal concave lattice path below y = theta*x from
+    (0,0) to (m, floor(m*theta)).
 
     Every lattice point on the hull boundary counts as a vertex, so collinear
     steps yield equal parts.  Greedy over the best lower approximations of
@@ -209,7 +182,7 @@ def partition_positive(theta, m: int) -> Partition:
     return _partitions(Rotation.coerce(theta), m)[0]
 
 
-def partition_negative(theta, m: int) -> Partition:
+def partition_negative(theta, m: int) -> tuple:
     """Negative partition p-_theta(m): horizontal displacements of the lower
     convex-hull boundary of lattice points on or above y = theta*x, from (0,0)
     to (m, ceil(m*theta)).  As ceil(x*theta) = -floor(-x*theta), this is
@@ -251,7 +224,7 @@ def partition_properties(theta, m: int) -> dict:
     else:
         # the partitions passed the real-lane guard at every cover k <= m
         covers_nondegenerate = top_nondegenerate = True
-    item1 = pp.disjoint_from(pn) if covers_nondegenerate else None
+    item1 = not set(pp) & set(pn) if covers_nondegenerate else None
     item2 = ((1 in pp) != (1 in pn)) if covers_nondegenerate else None
     small = m * a < 2 * q or m * (q - a) < 2 * q
     item3 = (len(pp) + len(pn) > 3 or small) if top_nondegenerate else None

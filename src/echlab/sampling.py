@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -25,7 +26,7 @@ from .orbits import (
     Tower,
     cover_indices,
 )
-from .rotations import Partition, Rotation, cz_index, partition_negative, partition_positive
+from .rotations import Rotation, cz_index, partition_negative, partition_positive
 
 
 _DENOMINATORS = (1, 2, 3, 4, 6, 8, 12, 24)  # keep telescoping sums in machine ints
@@ -144,19 +145,6 @@ def random_tower(rng: random.Random, n: int) -> Tower:
 # -- the low-action non-cylinder family ----------------------------------------
 
 
-def _multiset_difference(larger: Partition, smaller: Partition) -> Optional[Tuple[int, ...]]:
-    """larger minus smaller as multisets, or None when smaller is no sub-multiset."""
-    counts = larger.as_multiset()
-    for part in smaller:
-        if counts.get(part, 0) == 0:
-            return None
-        counts[part] -= 1
-    out: List[int] = []
-    for part, c in counts.items():
-        out.extend([part] * c)
-    return tuple(sorted(out, reverse=True))
-
-
 def _end_options(theta: Rotation, mult: int, positive: bool) -> List[Tuple[Tuple[int, ...], int]]:
     """Admissible (C1 end multiplicities, C0 multiplicity) splits at one orbit.
 
@@ -167,12 +155,12 @@ def _end_options(theta: Rotation, mult: int, positive: bool) -> List[Tuple[Tuple
     """
     build = partition_positive if positive else partition_negative
     total = build(theta, mult)
-    options: List[Tuple[Tuple[int, ...], int]] = [(tuple(total.parts), 0)]
+    counts = Counter(total)
+    options: List[Tuple[Tuple[int, ...], int]] = [(total, 0)]
     for m0 in range(1, mult):
-        inner = build(theta, m0)
-        rest = _multiset_difference(total, inner)
-        if rest is not None and rest:
-            options.append((rest, m0))
+        inner = Counter(build(theta, m0))
+        if inner <= counts:  # the rest keeps the total's descending order
+            options.append((tuple((counts - inner).elements()), m0))
     return options
 
 

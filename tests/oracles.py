@@ -6,7 +6,7 @@ import math
 from echlab.ellipsoid import TWO_PI, ResourceCapError, _gauss_legendre
 from echlab.orbits import CurveData, CurveEnds, OrbitSet, Tower
 from echlab.pfh import _hull_path
-from echlab.rotations import Partition, Rotation
+from echlab.rotations import Rotation
 from echlab.sampling import SET_MAX_MULT, SET_MAX_ORBITS, _splits, orbit_pool, pool_entries
 
 
@@ -17,7 +17,7 @@ def column_heights(rot: Rotation, m: int, upper: bool) -> list:
     return [0] + [rot.scaled_ceil(x) for x in range(1, m + 1)]
 
 
-def hull_partition(theta, m: int, positive: bool = True) -> Partition:
+def hull_partition(theta, m: int, positive: bool = True) -> tuple:
     """O(m) monotone-chain oracle for p+/p-: the hull of the column heights,
     each edge split at its interior lattice points."""
     heights = column_heights(Rotation.coerce(theta), m, upper=positive)
@@ -27,10 +27,10 @@ def hull_partition(theta, m: int, positive: bool = True) -> Partition:
         dx, dy = x1 - x0, y1 - y0
         g = math.gcd(dx, abs(dy))
         parts.extend([dx // g] * g)
-    return Partition(tuple(parts))
+    return tuple(sorted(parts, reverse=True))
 
 
-def staircase_partition(theta, m: int, positive: bool = True) -> Partition:
+def staircase_partition(theta, m: int, positive: bool = True) -> tuple:
     """Independent O(m^2) greedy-staircase oracle for p+/p-.
 
     From each reached lattice point, take the step of maximal (positive case,
@@ -60,10 +60,10 @@ def staircase_partition(theta, m: int, positive: bool = True) -> Partition:
         dx, dy = best
         parts.append(dx)
         x, y = x + dx, y + dy
-    return Partition(tuple(parts))
+    return tuple(sorted(parts, reverse=True))
 
 
-def hyperbolic_expectation(theta, m: int) -> Partition:
+def hyperbolic_expectation(theta, m: int) -> tuple:
     """Expected partition at integral / half-integral rotation (either sign of end).
 
     Integral theta: m parts of size 1.  Half-integral theta: m/2 twos when m
@@ -71,11 +71,11 @@ def hyperbolic_expectation(theta, m: int) -> Partition:
     """
     rot = Rotation.coerce(theta)
     if rot.is_integral():
-        return Partition((1,) * m)
+        return (1,) * m
     if rot.is_half_integral():
         if m % 2 == 0:
-            return Partition((2,) * (m // 2))
-        return Partition((2,) * (m // 2) + (1,))
+            return (2,) * (m // 2)
+        return (2,) * (m // 2) + (1,)
     raise ValueError("expected integral or half-integral rotation")
 
 

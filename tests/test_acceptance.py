@@ -183,7 +183,7 @@ def test_criterion_05_partition_lemmas():
     # elliptic clause: rotation below 1/m forces simple positive ends
     for m in range(1, 51):
         for theta in (Fraction(1, m + 1), Rotation.real(0.9 / (m + 1))):
-            ok = ok and partition_positive(theta, m).parts == (1,) * m
+            ok = ok and partition_positive(theta, m) == (1,) * m
     elapsed = time.perf_counter() - t0
     report(5, ok and elapsed <= 5.0,
            f"{checked} reversal cells pass ({skipped} degenerate-cover cells scoped out), "

@@ -81,6 +81,22 @@ def test_twist_commands(tmp_path, capsys):
     capsys.readouterr()
     assert main(["twist", "complex", "--profile", str(profile_path), "--d", "3"]) == 0
     capsys.readouterr()
+    runs = [
+        (["twist", "axioms", "--profile", os.path.join(PROFILES, "linear_cal.json"), "--dmax", "32"],
+         {"identity_axiom", "monotonicity_axiom", "hofer_lipschitz_axiom", "weyl_axiom"},
+         {"weyl_axiom", "hofer_lipschitz"}),
+        (["twist", "infinite", "--profile", os.path.join(PROFILES, "cubic_singular.json"), "--imax", "4",
+          "--dmax", "8"],
+         {"calabi_increasing", "monotone_chain", "step1_domination", "step2_bound", "growth_witnessed"},
+         {"infinite_twist"}),
+    ]
+    for argv, verdicts, tables in runs:
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc["verdicts"]) == verdicts and all(v["pass"] for v in doc["verdicts"].values())
+        assert tables <= set(doc["tables"])
+    assert main(["twist", "infinite", "--profile", os.path.join(PROFILES, "linear_cal.json")]) == 2
+    assert capsys.readouterr().err == "error: experiment requires a profile with divergent Calabi invariant\n"
 
 
 def test_complex_cap_error_exits_2(tmp_path, capsys):
@@ -99,11 +115,14 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
         (["ellipsoid", "census", "--a", "-1", "--b", "2"], "error: ellipsoid parameters must be positive"),
         (["ellipsoid", "census", "--a", "1e300", "--b", "1e-300"],
          "error: ellipsoid aspect ratio a/b lies outside the float range"),
+        (["ellipsoid", "census", "--a", "1/" + str(10**400), "--b", "2/1"],
+         "error: ellipsoid aspect ratio a/b lies outside the float range"),
         (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--L", "30", "--cap", "5"],
          "error: spectrum entry cap 5 exceeded"),
         (["ellipsoid", "census", "--a", "1/0", "--b", "2"],
          "error: echlab ellipsoid census: argument --a: invalid parse_number value: '1/0'"),
         (["partitions", "--theta", "1/0", "--m", "2"], "error: zero denominator in '1/0'"),
+        (["partitions", "--theta", "1/3", "--m", "0"], "error: multiplicity must be >= 1, got 0"),
         (["score", "--input", str(zero_den["action"])], "error: zero denominator in [1, 0]"),
         (["score", "--input", str(zero_den["theta"])], "error: zero denominator in [1, 0]"),
         (["partitions", "--theta", "0.5", "--m", "2"],
@@ -143,6 +162,19 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
         assert code == 2
         assert err.startswith(message) and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_module_entry_point():
+    # python -m echlab runs cli.main and exits with its code; a refused input is one error line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    ok = subprocess.run([sys.executable, "-m", "echlab", "partitions", "--theta", "1/5", "--m", "4"],
+                        capture_output=True, text=True, env=env)
+    assert ok.returncode == 0 and json.loads(ok.stdout)["tables"]["partitions"]
+    bad = subprocess.run([sys.executable, "-m", "echlab", "ellipsoid", "census", "--a", "1/" + str(10**400),
+                          "--b", "2/1"], capture_output=True, text=True, env=env)
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:") and bad.stderr.count("\n") == 1 and "Traceback" not in bad.stderr
 
 
 def test_wrong_shape_json_exits_2(tmp_path, capsys):
@@ -220,6 +252,8 @@ def _without(d, key):
     ("score", {"orbits": [_ORBIT]}, "orbit-set document has no 'entries' field"),
     ("score", {"orbits": [_ORBIT], "entries": [["b", 1]]}, "unknown orbit label 'b'"),
     ("score", dict(_CURVE, beta=[["b", 1]]), "unknown orbit label 'b'"),
+    ("score", dict(_CURVE, negative_ends=[{"orbit": "a", "multiplicities": [1], "c0": False}]),
+     "negative ends at a missing from endpoint set"),
 ])
 def test_missing_fields_exit_2(tmp_path, capsys, command, doc, message):
     # a required field that is absent, or an entry label with no orbit record, names what is missing
@@ -237,6 +271,9 @@ def test_missing_fields_exit_2(tmp_path, capsys, command, doc, message):
      "orbit label 'a' is listed twice"),
     ("tower", {"orbits": [_ORBIT], "curves": [dict(_CURVE, orbits=[dict(_ORBIT, action=[5, 1])])]},
      "orbit 'a' conflicts with the tower's orbit of that label"),
+    ("score", {"orbits": [_ORBIT], "entries": [["a", 1], ["a", 2]]}, "duplicate orbit id 'a'"),
+    ("score", dict(_CURVE, positive_ends=[{"orbit": "a", "multiplicities": [1], "c0": False}] * 2),
+     "repeated ends record at a (positive)"),
 ])
 def test_repeated_orbit_labels_exit_2(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"
@@ -262,6 +299,13 @@ def test_repeated_orbit_labels_exit_2(tmp_path, capsys, command, doc, message):
     ({"orbits": [dict(_ORBIT, theta=math.inf)], "entries": [["a", 1]]}, "theta must be a finite number, got inf"),
     ({"orbits": [dict(_ORBIT, action=math.inf)], "entries": [["a", 1]]}, "action must be a finite number, got inf"),
     ({"orbits": [dict(_ORBIT, action="1.5")], "entries": [["a", 1]]}, "action must be a finite number, got '1.5'"),
+    # well-typed numbers that the orbit and curve structures refuse
+    (dict(_CURVE, genus=-1), "genus must be nonnegative"),
+    (dict(_CURVE, positive_ends=[{"orbit": "a", "multiplicities": [0], "c0": False}]),
+     "end multiplicities must be positive at a"),
+    ({"orbits": [_ORBIT], "entries": [["a", 0]]}, "multiplicity must be >= 1, got 0 at a"),
+    ({"orbits": [dict(_ORBIT, kind="negative-hyperbolic", theta=[1, 3])], "entries": [["a", 1]]},
+     "negative-hyperbolic orbit a needs half-integral rotation"),
 ])
 def test_mistyped_number_fields_exit_2(tmp_path, capsys, doc, message):
     path = tmp_path / "doc.json"

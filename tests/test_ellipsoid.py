@@ -45,14 +45,19 @@ def test_rationality_detection():
     assert Ellipsoid(1e-3, 1.0).ratio_rational == Fraction(1, 1000)
     assert Ellipsoid(3e-6, 1.0).ratio_rational == Fraction(3, 1000000)
     assert Ellipsoid(0.1, 0.3).ratio_rational == Fraction(1, 3)
+    # exact inputs give the exact ratio, and are stored as floats like float inputs
+    e = Ellipsoid(Fraction(1, 10**20), 3)
+    assert e.ratio_rational == Fraction(1, 3 * 10**20) and (type(e.a), type(e.b)) == (float, float)
 
 
 def test_parameters_must_be_positive_and_finite():
     for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (0.0, 1.0), (-1.0, 2.0)):
         with pytest.raises(ValueError, match="ellipsoid parameters must be positive and finite"):
             Ellipsoid(a, b)
-    # finite parameters whose float ratio overflows, underflows to 0 or cannot be formed
-    for a, b in ((1e300, 1e-300), (1e-300, 1e300), (1e-200, 1e200), (10**400, 1.0), (1.0, 10**400)):
+    # finite parameters whose float ratio overflows, underflows to 0 or cannot be formed, in both lanes
+    for a, b in ((1e300, 1e-300), (1e-300, 1e300), (1e-200, 1e200), (10**400, 1.0), (1.0, 10**400),
+                 (Fraction(1, 10**400), Fraction(2)), (Fraction(10**400), Fraction(2)),
+                 (Fraction(1), Fraction(10**400))):
         with pytest.raises(ValueError, match="aspect ratio a/b lies outside the float range"):
             Ellipsoid(a, b)
     # ratio_rational is derived from a and b, so it takes no part in equality or hashing

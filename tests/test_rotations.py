@@ -12,7 +12,6 @@ from echlab.orbits import ELLIPTIC, NEGATIVE_HYPERBOLIC, POSITIVE_HYPERBOLIC, Or
 from echlab.rotations import (
     REAL_GUARD,
     DegenerateRotationError,
-    Partition,
     Rotation,
     cz_index,
     partition_negative,
@@ -95,7 +94,7 @@ def test_cz_negative_rotation():
     ],
 )
 def test_partition_positive_examples(theta, m, expected):
-    assert partition_positive(theta, m).parts == expected
+    assert partition_positive(theta, m) == expected
 
 
 @pytest.mark.parametrize(
@@ -109,7 +108,7 @@ def test_partition_positive_examples(theta, m, expected):
     ],
 )
 def test_partition_negative_examples(theta, m, expected):
-    assert partition_negative(theta, m).parts == expected
+    assert partition_negative(theta, m) == expected
 
 
 def test_parts_sum_to_multiplicity():
@@ -117,15 +116,15 @@ def test_parts_sum_to_multiplicity():
         for u in range(0, 2 * v + 1):
             theta = Fraction(u, v)
             for m in range(1, 25):
-                assert partition_positive(theta, m).total == m
-                assert partition_negative(theta, m).total == m
+                assert sum(partition_positive(theta, m)) == m
+                assert sum(partition_negative(theta, m)) == m
 
 
 def test_small_elliptic_rotation_gives_simple_positive_ends():
     # 0 < theta < 1/m forces m parts of size one
     for m in range(1, 15):
         theta = Fraction(1, m + 1)
-        assert partition_positive(theta, m).parts == (1,) * m
+        assert partition_positive(theta, m) == (1,) * m
 
 
 def test_hyperbolic_patterns_match_expectation():
@@ -196,7 +195,7 @@ def test_best_approximation_partitions_match_oracles_near_the_guard(q, p, m, k, 
 def test_partition_properties_examples():
     rep = partition_properties(Fraction(1, 5), 4)
     assert rep["all_pass"]
-    assert rep["p_plus"].parts == (1, 1, 1, 1) and rep["p_minus"].parts == (4,)
+    assert rep["p_plus"] == (1, 1, 1, 1) and rep["p_minus"] == (4,)
     rep = partition_properties(Fraction(7, 10), 2)
     assert rep["disjoint"] and rep["one_in_exactly_one"]
     rep = partition_properties(Rotation.real(1 / math.sqrt(2)), 10)
@@ -212,6 +211,11 @@ def test_partition_properties_scope():
     assert rep["reversal_applicable"] is False
     with pytest.raises(ValueError):
         partition_properties(2, 4)
+    # a multiplicity below a construction's stated range is refused
+    for call in (lambda: cz_index(Fraction(1, 3), 0), lambda: partition_negative(Fraction(1, 3), 0),
+                 lambda: partition_properties(Fraction(1, 3), 1)):
+        with pytest.raises(ValueError, match="got"):
+            call()
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,13 +237,6 @@ def test_reversal_properties_real(x, m):
         assert partition_properties(rot, m)["all_pass"]
     except DegenerateRotationError:
         pass  # near-integral cover in the float lane: explicit refusal by design
-
-
-def test_partition_canonical_order_and_multiset():
-    p = Partition((1, 3, 2, 3))
-    assert p.parts == (3, 3, 2, 1)
-    assert p.as_multiset() == {3: 2, 2: 1, 1: 1}
-    assert 2 in p and 4 not in p
 
 
 def test_cz_parity_and_growth_bound():
