@@ -27,17 +27,18 @@ class ResourceCapError(RuntimeError):
 
 def _detect_rational(x: float) -> Optional[Fraction]:
     """Return Fraction(p, q) when the float x encodes a rational with
-    denominator at most 1e6, else None.
+    numerator and denominator at most 1e6, else None.
 
     x encodes p/q when the float nearest p/q lies within 4 ulps of x, the
     rounding error of a quotient of two short decimals.  The gate is no
     wider because convergents with q <= 1e6 come within 1e-14 relative of
     about one generic irrational in thirteen.
     """
-    cand = Fraction(x).limit_denominator(10**6)
+    k = 1 if x <= 1 else -1  # probe whichever of x and 1/x is at most 1, so both are judged alike
+    cand = (Fraction(x) ** k).limit_denominator(10**6)
     # a nonzero x is never the rational 0
-    if cand and abs(float(cand) - x) <= 4 * math.ulp(x):
-        return cand
+    if cand and abs(float(cand**k) - x) <= 4 * math.ulp(x):
+        return cand**k
     return None
 
 
@@ -47,9 +48,9 @@ class Ellipsoid:
 
     The aspect ratio a/b is probed for rationality at construction: exact
     int or Fraction inputs are tested exactly, and floats are treated as
-    irrational unless within 4 ulps of a rational with denominator <= 1e6.
-    a and b are then stored as floats; a parameter or a ratio a/b with no
-    positive finite float is refused.
+    irrational unless within 4 ulps of a rational whose numerator and
+    denominator are at most 1e6.  a and b are then stored as floats; a
+    parameter or a ratio a/b with no positive finite float is refused.
     """
 
     a: Union[float, Fraction]
@@ -281,13 +282,15 @@ def gss_return_map(e: Ellipsoid, point: Tuple[float, float]) -> Tuple[Tuple[floa
     """First-return map on the disk section spanning gamma2 at theta1 = 0.
 
     The return time is exactly a; the induced map rotates the section angle
-    by 2*pi*a/b and preserves the radius fraction.
+    by 2*pi*a/b, reduced mod 2*pi, and preserves the radius fraction.
     """
     radius, angle = point
     if not (0.0 <= radius < 1.0):
         raise ValueError("point on binding orbit" if radius >= 1.0 else "radius fraction must be in [0, 1)")
-    a, b = e.a, e.b
-    return (radius, (angle + TWO_PI * a / b) % TWO_PI), a
+    rotation = TWO_PI * e.a / e.b
+    if rotation == math.inf:
+        raise ValueError("return-map rotation 2*pi*a/b overflows the float range")
+    return (radius, (angle + math.fmod(rotation, TWO_PI)) % TWO_PI), e.a
 
 
 def product_of_periods_check(e: Ellipsoid) -> dict:

@@ -122,12 +122,12 @@ class TwistComplex:
             min_q[i] = min(min_q[i], min_q[i + 1])
 
         def recurse(i: int, budget: int, chosen: List[Edge], count: int, y: int, hs: int, action: float):
-            if len(gens) > cap:
-                raise ComplexSizeError(
-                    f"generator cap {cap} exceeded (at least {len(gens)} generators); "
-                    "lower the degree or cap the census"
-                )
             if budget < min_q[i]:
+                if len(gens) == cap:
+                    raise ComplexSizeError(
+                        f"generator cap {cap} exceeded (at least {cap + 1} generators); "
+                        "lower the degree or cap the census"
+                    )
                 gens.append((tuple(chosen), budget))
                 # the reference filler: budget + 1 columns of y + 1 points
                 gradings.append(2 * (count + (budget + 1) * (y + 1) - (d + 1)) - hs + d)
@@ -185,12 +185,13 @@ class TwistComplex:
         One term per corner and per valid relabeling of the rounded zone with
         total h-count one less than before: the surviving h (when the corner
         joined two h edges) may sit on any zone edge, at most one per level
-        and never on a flat run.
+        and never on a flat run.  A corner that rounds off the census raises
+        CalibrationError.
         """
         if self._boundaries is not None:
             return self._boundaries
-        hulls: Dict[Tuple[int, Optional[int]], Optional[Tuple[Edge, ...]]] = {}
-        index, ref_id = self.index, self.ref_id
+        hulls: Dict[Tuple[int, Optional[int]], Tuple[Edge, ...]] = {}
+        index, ref_id, p, q = self.index, self.ref_id, self._p, self._q
         bnds: List[List[int]] = []
         for edges, ref in self.generators:
             if ref:
@@ -202,31 +203,29 @@ class TwistComplex:
                 zone_h = ha + hb
                 if zone_h == 0:
                     continue
-                if (a, b) not in hulls:
-                    hulls[a, b] = self._corner_hull(a, b)
-                hull = hulls[a, b]
+                hull = hulls.get((a, b))
                 if hull is None:
-                    continue
+                    hull = hulls[a, b] = self._corner_hull(a, b)
+                    if hull is None:
+                        outgoing = "the degree wall" if b is None else f"level {p[b]}/{q[b]}"
+                        raise CalibrationError(
+                            f"the corner between level {p[a]}/{q[a]} and {outgoing} rounds off the census"
+                        )
                 # incoming remainder, hull edges, outgoing remainder
                 zone = ((a, ma - 1, 0),) if ma > 1 else ()
                 zone += hull
                 if mb > 1:
                     zone += ((b, mb - 1, 0),)
                 head, rest = edges[:corner], edges[corner + 2 :]
-                slots = [None]
-                if zone_h == 2:
-                    slots = [j for j, e in enumerate(zone) if e[0] != ref_id]
-                for slot in slots:
-                    labeled = tuple((i, m, 1 if j == slot else 0) for j, (i, m, _) in enumerate(zone))
-                    # zone slopes lie strictly between its neighbours': the path stays strictly ordered
+                # one h left: the zone as built; two: the survivor on one zone edge
+                labelings = [zone] if zone_h == 1 else [
+                    zone[:j] + ((i, m, 1),) + zone[j + 1 :] for j, (i, m, _) in enumerate(zone) if i != ref_id
+                ]
+                for labeled in labelings:
+                    # zone slopes lie strictly between its neighbours': the path is concave, so a generator
                     path = head + labeled + rest
-                    if path[-1][0] == ref_id:
-                        target = path[:-1], path[-1][1]
-                    else:
-                        target = path, 0
-                    ti = index.get(target)
-                    if ti is not None:
-                        counts[ti] = counts.get(ti, 0) + 1
+                    ti = index[(path[:-1], path[-1][1]) if path[-1][0] == ref_id else (path, 0)]
+                    counts[ti] = counts.get(ti, 0) + 1
             bnds.append([ti for ti, c in counts.items() if c % 2 == 1])
         self._boundaries = bnds
         return bnds
@@ -251,26 +250,23 @@ class TwistComplex:
             pos = [0] * len(order)
             for k, gi in enumerate(order):
                 pos[gi] = k
-            by_grading: Dict[int, List[int]] = {}
-            for gi in order:
-                by_grading.setdefault(gradings[gi], []).append(gi)
             pivots: Dict[int, int] = {}  # low row -> reduced column
             essential: List[int] = []
-            for g in sorted(by_grading, reverse=True):
-                for gi in by_grading[g]:
-                    if pos[gi] in pivots:
-                        continue
-                    col = 0
-                    for t in bnds[gi]:
-                        col |= 1 << pos[t]
-                    while col:
-                        low = col.bit_length() - 1
-                        if low not in pivots:
-                            pivots[low] = col
-                            break
-                        col ^= pivots[low]
-                    else:
-                        essential.append(gi)
+            # a stable sort: gradings from the top, each in filtration order
+            for gi in sorted(order, key=gradings.__getitem__, reverse=True):
+                if pos[gi] in pivots:
+                    continue
+                col = 0
+                for t in bnds[gi]:
+                    col |= 1 << pos[t]
+                while col:
+                    low = col.bit_length() - 1
+                    if low not in pivots:
+                        pivots[low] = col
+                        break
+                    col ^= pivots[low]
+                else:
+                    essential.append(gi)
             self._essential = essential
         return self._essential
 

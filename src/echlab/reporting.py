@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import __version__
 from .twist import CALIBRATION
-
-VERSION = "0.1.0"
 
 
 @dataclass
@@ -106,7 +105,7 @@ class ReportBundle:
 
 def base_manifest(config: dict) -> dict:
     return {
-        "version": VERSION,
+        "version": __version__,
         "calibration": dict(CALIBRATION),
         "config": _jsonable(config),
     }

@@ -136,6 +136,10 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
          "error: census would list more than 100000 torus families"),
         (["ellipsoid", "census", "--a", "1", "--b", "2", "--L=--"], "error: an option given as --flag=-- has no value"),
         (["twist", "infinite", "--profile", profile, "--imax", "0"], "error: truncation count imax must be >= 1, got 0"),
+        (["ellipsoid", "census", "--a", "1", "--b", "sqrt2", "--L", "0"], "error: action bound must be positive"),
+        (["ellipsoid", "weyl", "--a", "1", "--b", "sqrt2", "--kmax", "0"], "error: kmax must be >= 1"),
+        (["twist", "complex", "--profile", profile, "--d", "0"], "error: degree must be >= 1"),
+        (["twist", "cd", "--profile", profile, "--d", "0"], "error: degree must be >= 1"),
     ]
     for flag, command in (("--L", "census"), ("--L", "spectrum"), ("--tol", "weyl")):
         cases.append((["ellipsoid", command, "--a", "1", "--b", "sqrt2", flag, "inf"],
@@ -306,6 +310,9 @@ def test_repeated_orbit_labels_exit_2(tmp_path, capsys, command, doc, message):
     ({"orbits": [_ORBIT], "entries": [["a", 0]]}, "multiplicity must be >= 1, got 0 at a"),
     ({"orbits": [dict(_ORBIT, kind="negative-hyperbolic", theta=[1, 3])], "entries": [["a", 1]]},
      "negative-hyperbolic orbit a needs half-integral rotation"),
+    ({"orbits": [dict(_ORBIT, kind="foo")], "entries": [["a", 1]]}, "unknown orbit kind 'foo'"),
+    (dict(_CURVE, positive_ends=[{"orbit": "a", "multiplicities": [], "c0": False}]),
+     "ends record at a lists no end"),
 ])
 def test_mistyped_number_fields_exit_2(tmp_path, capsys, doc, message):
     path = tmp_path / "doc.json"
@@ -325,6 +332,10 @@ _SEGMENT = {"lo": 0.0, "hi": 1.0, "terms": [[1.0, 0]]}
     ({"segments": [dict(_SEGMENT, terms=[[1.0, 0.5]])]},
      "terms entry must be a [coefficient, integer exponent] pair, got [1.0, 0.5]"),
     ({"type": "samples", "r": [0, 0.5, 1], "f": [math.nan, 1, 0]}, "f must be a finite number, got nan"),
+    # well-typed documents that the profile constructors refuse
+    ({"segments": [dict(_SEGMENT, hi=0.4), dict(_SEGMENT, lo=0.5)]}, "segments must be contiguous"),
+    ({"type": "samples", "r": [0, 0.5, 0.9], "f": [1, 0.5, 0]}, "samples must span [0, 1]"),
+    ({"type": "samples", "r": [0, 0.5, 0.5, 1], "f": [1, 0.5, 0.5, 0]}, "duplicate sample radius"),
 ])
 def test_mistyped_profile_fields_exit_2(tmp_path, capsys, doc, message):
     path = tmp_path / "profile.json"
@@ -399,6 +410,18 @@ def test_failed_checks_are_verdicts(tmp_path, capsys, monkeypatch):
         main(["twist", "complex", "--profile", profile, "--d", "3"])
 
 
+def test_return_map_reduces_the_rotation_once(capsys):
+    # 2*pi*a/b is reduced mod 2*pi before the angle is added, so a huge rotation keeps its
+    # residue; one that overflows the float range is refused
+    for a, b in (("1e300", "1e-5"), ("1e17", "1")):
+        assert main(["ellipsoid", "return-map", "--a", a, "--b", b]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdicts"]["return_map_rotation"]["pass"]
+        assert all(math.isfinite(row[3]) for row in doc["tables"]["return_map"]["rows"])
+    assert main(["ellipsoid", "return-map", "--a", "1e308", "--b", "1"]) == 2
+    assert capsys.readouterr().err == "error: return-map rotation 2*pi*a/b overflows the float range\n"
+
+
 def test_tol_and_cap_only_on_the_subcommands_that_read_them(tmp_path, capsys):
     profile = os.path.join(os.path.dirname(__file__), os.pardir, "profiles", "linear_cal.json")
     required = {"ellipsoid": ["--a", "1", "--b", "sqrt2"], "twist": ["--profile", profile]}
@@ -428,7 +451,8 @@ def test_tol_and_cap_only_on_the_subcommands_that_read_them(tmp_path, capsys):
 def test_score_and_tower_commands(tmp_path, capsys):
     import random
 
-    from echlab.orbits import orbit_set_to_json, tower_to_json
+    from echlab.orbits import (curve_score, curve_to_json, is_ech_generator, k_invariant, orbit_set_to_json,
+                               total_score, tower_to_json)
     from echlab.sampling import orbit_pool, pool_entries, random_orbit_set, random_tower
 
     rng = random.Random(3)
@@ -439,10 +463,21 @@ def test_score_and_tower_commands(tmp_path, capsys):
     assert main(["score", "--input", str(spath)]) == 0
     capsys.readouterr()
 
+    tower = random_tower(rng, 12)
     tpath = tmp_path / "tower.json"
-    tpath.write_text(json.dumps(tower_to_json(random_tower(rng, 12))))
+    tpath.write_text(json.dumps(tower_to_json(tower)))
     assert main(["tower", "--input", str(tpath), "--threshold", "1/2"]) == 0
     capsys.readouterr()
+
+    # a curve document gets the curve row: its scores and whether both ends are generators
+    curve = tower.curves[5]
+    cpath = tmp_path / "curve.json"
+    cpath.write_text(json.dumps(curve_to_json(curve)))
+    assert main(["score", "--input", str(cpath)]) == 0
+    table = json.loads(capsys.readouterr().out)["tables"]["score"]
+    assert table["columns"] == ["object", "score", "total_score", "k_invariant", "is_generator"]
+    assert table["rows"] == [["curve", curve_score(curve), total_score(curve), k_invariant(curve),
+                              is_ech_generator(curve.alpha) and is_ech_generator(curve.beta)]]
 
 
 def test_float_action_tower_telescopes_exactly(tmp_path, capsys):

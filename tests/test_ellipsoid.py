@@ -76,6 +76,24 @@ def test_irrational_ratios_near_a_convergent_stay_irrational():
     assert flagged <= 20
 
 
+def test_rationality_gate_is_symmetric_and_scale_free():
+    # numerator and denominator are both bounded, so a large generic ratio is
+    # not a rational with a long numerator, and E(a, b) and E(b, a) agree
+    assert Ellipsoid(1000 * math.pi, 1.0).ratio_rational is None  # not 2062062878/656375
+    assert Ellipsoid(1e200, SQRT2).ratio_rational is None
+    assert Ellipsoid(1000.0, 7.0).ratio_rational == Fraction(1000, 7)
+    assert Ellipsoid(7.0, 1000.0).ratio_rational == Fraction(7, 1000)
+    assert Ellipsoid(2e6, 1.0).ratio_rational is None  # numerator above 1e6: pass 2000000/1 for the exact lane
+    rng = random.Random(20261020)
+    for exponent in range(-6, 201, 2):
+        s = 10.0**exponent
+        flagged = sum(Ellipsoid(rng.uniform(s, 2 * s), 1.0).is_rational for _ in range(200))
+        assert flagged <= 2, s  # at most 1%
+    for _ in range(2000):
+        a, b = rng.uniform(0.05, 20), rng.uniform(0.05, 20) * 10 ** rng.uniform(-3, 3)
+        assert Ellipsoid(a, b).is_rational == Ellipsoid(b, a).is_rational, (a, b)
+
+
 def test_flow_identity_and_substitution():
     e = Ellipsoid(2.0, 3.0)
     s = FlowState(0.5, 1.25, 0.3)

@@ -19,6 +19,7 @@ from echlab.pfh import (
     spectral_invariant_cd,
 )
 from echlab.twist import (
+    TwistProfile,
     calabi,
     constant_profile,
     hofer_norm_bound,
@@ -78,6 +79,26 @@ def test_generator_cap():
     f = linear_profile(2.63 * TWO_PI, support_end=0.92)
     with pytest.raises(ComplexSizeError):
         TwistComplex(f, 7, generator_cap=100)
+    # the cap is exact: n generators pass a cap of n and fail a cap of n - 1
+    f = linear_profile(0.73 * TWO_PI, support_end=0.9)
+    for d in range(1, 9):
+        n = len(TwistComplex(f, d).generators)
+        assert len(TwistComplex(f, d, generator_cap=n).generators) == n
+        with pytest.raises(ComplexSizeError, match=f"generator cap {n - 1} exceeded"):
+            TwistComplex(f, d, generator_cap=n - 1)
+
+
+def test_a_corner_rounding_off_the_census_is_named():
+    # this certified profile jumps from 1.2 to 0.3 turns at r = 0.5, so no level has a
+    # rotation number strictly between them: a corner whose rounded zone needs one is
+    # refused by name, not dropped from the differential
+    f = TwistProfile.from_json({"type": "piecewise", "name": "jump", "segments": [
+        {"lo": 0.0, "hi": 0.5, "terms": [[8.79645943005142, 0], [-2.5132741228718345, 1]]},
+        {"lo": 0.5, "hi": 0.9, "terms": [[4.241150082346221, 0], [-4.71238898038469, 1]]},
+        {"lo": 0.9, "hi": 1.0, "terms": [[0.0, 0]]}]})
+    cx = build_complex(f, 5)
+    with pytest.raises(CalibrationError, match=r"^the corner between level 6/5 and the degree wall rounds off"):
+        cx.boundaries()
 
 
 def test_differential_grading_and_action():
