@@ -9,13 +9,13 @@ the anchored action m * (2 pi p E(r) - q H(r)) per edge, which equals
 m q * integral_0^slope 2 pi E(r(tau)) d tau and therefore strictly decreases
 under rounding whenever the twist angle is non-increasing.
 
-The hot paths are exact integer code.  A level is named by its id, its
-position in the slope-descending census, so slope comparisons are id
-comparisons; an edge is an int tuple (level_id, mult, h) and a generator is
-(edges, ref).  Each level's action coefficient is computed once, and the
-enumeration yields each generator's grading and action as it emits it.
-Homology ranks and persistence births come from the essential columns of one
-filtration-order reduction over the two-element field, with clearing.
+The hot paths are exact integer code.  A level is named by its position in
+the slope-descending census; an edge is an int tuple (level_id, mult, h).
+The enumeration makes one call per generator and yields its grading, action
+and path key, the sum of (2 mult + h) << (w level_id) over its edges and the
+reference edge.  Each corner shape (edge, next edge) has fixed key deltas, so
+a boundary term is one integer addition and one index lookup.  Homology comes
+from one filtration-order reduction over GF(2) with clearing, on set columns.
 
 The spectral invariant c_d is the calibrated radial staircase value
 sum_{k=1..d} H(k/(d+1)); the run manifest records the calibration constants.
@@ -29,18 +29,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .twist import (
-    CALIBRATION,
-    TwistProfile,
-    calabi,
-    disk_area_level,
-    hofer_norm_bound,
-    periodic_census,
-    truncate_profile,
-    zero_profile,
-)
+from .twist import (CALIBRATION, TwistProfile, calabi, disk_area_level, hofer_norm_bound, periodic_census,
+                    truncate_profile, zero_profile)
 
 VALIDATE_MAX_DEGREE = 8  # spectral_invariant_cd validates the complex by default up to here
 GENERATOR_CAP = 200_000  # default bound on the generators one complex may enumerate
@@ -65,23 +58,32 @@ def _hull_path(points: list, upper: bool) -> list:
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
             c = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
-            if (upper and c >= 0) or (not upper and c <= 0):
-                hull.pop()
-            else:
+            if (c < 0) if upper else (c > 0):
                 break
+            hull.pop()
         hull.append(p)
     return hull
+
+
+@lru_cache(maxsize=65536)
+def _round_corner(pa: int, qa: int, pb: int, qb: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Edges (p, q, mult) of the maximal concave lattice path strictly below the corner
+    between the primitive steps (qa, pa) and (qb, pb), or the degree wall (0, 0)."""
+    # column maxima under the two old steps from (0, 0) through the corner (qa, pa), the corner excluded
+    pts = [(x, (pa * x) // qa) for x in range(qa)] + [(qa, pa - 1)]
+    pts += [(qa + x, pa + (pb * x) // qb) for x in range(1, qb + 1)]
+    hull = _hull_path(pts, upper=True)
+    steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+    return tuple((dy // g, dx // g, g) for dx, dy in steps for g in (math.gcd(dx, dy),))
 
 
 class TwistComplex:
     """The filtered chain complex of one (profile, degree) instance.
 
-    Level ids index ``levels`` (slope descending); the slope-0 reference
-    edge has id ``len(levels)``.  An edge is the int tuple
-    ``(level_id, mult, h)``; a generator is ``(edges, ref)`` with edges in
-    increasing id order and is its own key in ``index``.  ``gradings`` and
-    ``actions`` are filled by the enumeration; the boundary and the
-    reduction are computed on first use and kept.
+    Level ids index ``levels`` (slope descending); the slope-0 reference edge
+    has id ``len(levels)``.  A generator is ``(edges, ref)``, edges in
+    increasing id order.  The enumeration fills ``gradings`` and ``actions``;
+    the boundary and the reduction are computed on first use and kept.
     """
 
     def __init__(self, profile: TwistProfile, degree: int, generator_cap: int = GENERATOR_CAP):
@@ -96,138 +98,137 @@ class TwistComplex:
         self._id_of = {(p, q): i for i, (p, q) in enumerate(zip(self._p, self._q))}
         H, scale = profile.hamiltonian, CALIBRATION["p_area_scale"]
         self._coef = [scale * c.p * disk_area_level(c.radius) - c.q * H(c.radius) for c in self.levels]
-        self.generators, self.gradings, self.actions = self._enumerate(generator_cap)
-        self.index: Dict[Generator, int] = {g: i for i, g in enumerate(self.generators)}
+        self._w = (2 * degree + 3).bit_length()  # key bits per level: 2 mult + h <= 2 d + 1
+        self.generators, self.gradings, self.actions, self._keys = self._enumerate(generator_cap)
         self._boundaries: Optional[List[List[int]]] = None
         self._essential: Optional[List[int]] = None
 
     # -- enumeration -----------------------------------------------------------
 
-    def _enumerate(self, cap: int) -> Tuple[List[Generator], List[int], List[float]]:
-        """Every generator, depth first, with its grading and action.
+    def _enumerate(self, cap: int) -> Tuple[List[Generator], List[int], List[float], List[int]]:
+        """Every generator, depth first, with its grading, action and path key.
 
-        The grading is 2 (L - (d+1)) - h + d, L the lattice points in
-        0 <= y <= path(x), 0 <= x <= degree: the flat reference path sits in
-        grading d.  The action sums the anchored m * (2 pi p E(r) - q H(r))
-        over the level edges in order.  The descent carries the points,
-        height, h-count and action of the path so far.
+        Each call emits one generator, its edges so far with ``ref`` the width
+        left, then extends it by each edge on a later level that fits, levels
+        in descending id order.  The grading is 2 (L - (d+1)) - h + d, L the
+        lattice points in 0 <= y <= path(x), 0 <= x <= degree.  The action sums
+        the anchored m * (2 pi p E(r) - q H(r)) over the level edges in order.
         """
         gens: List[Generator] = []
         gradings: List[int] = []
         actions: List[float] = []
-        p, q, coef, d = self._p, self._q, self._coef, self.degree
-        # least step width among levels i.., so a budget below it ends the path
-        min_q = q[:-1] + [d + 1]
-        for i in range(len(self.levels) - 1, -1, -1):
-            min_q[i] = min(min_q[i], min_q[i + 1])
+        keys: List[int] = []
+        p, q, coef, d, w = self._p, self._q, self._coef, self.degree, self._w
+        ref_shift = w * self.ref_id + 1  # the reference edge's 2 ref, in its own slot
+        # level ids whose primitive step fits in each width, descending
+        fits = [[j for j in range(self.ref_id - 1, -1, -1) if q[j] <= b] for b in range(d + 1)]
 
-        def recurse(i: int, budget: int, chosen: List[Edge], count: int, y: int, hs: int, action: float):
-            if budget < min_q[i]:
-                if len(gens) == cap:
-                    raise ComplexSizeError(
-                        f"generator cap {cap} exceeded (at least {cap + 1} generators); "
-                        "lower the degree or cap the census"
-                    )
-                gens.append((tuple(chosen), budget))
-                # the reference filler: budget + 1 columns of y + 1 points
-                gradings.append(2 * (count + (budget + 1) * (y + 1) - (d + 1)) - hs + d)
-                actions.append(action)
-                return
-            recurse(i + 1, budget, chosen, count, y, hs, action)
-            pi, qi = p[i], q[i]
-            m = 1
-            while m * qi <= budget:
-                # columns x = 0..mq-1 under m primitive steps (q, p) from height y:
-                # sum of y + 1 + floor(p x / q), with sum_{r<q} floor(p r / q) =
-                # (p-1)(q-1)/2 for coprime p, q
-                points = count + m * qi * (y + 1) + pi * qi * m * (m - 1) // 2 + m * (pi - 1) * (qi - 1) // 2
-                edge_action = action + m * coef[i]
-                for h in (0, 1):
-                    chosen.append((i, m, h))
-                    recurse(i + 1, budget - m * qi, chosen, points, y + m * pi, hs + h, edge_action)
-                    chosen.pop()
-                m += 1
+        def visit(i: int, budget: int, edges: tuple, key: int, count: int, y: int, hs: int, action: float):
+            if len(gens) == cap:
+                raise ComplexSizeError(f"generator cap {cap} exceeded (at least {cap + 1} generators); "
+                                       "lower the degree or cap the census")
+            gens.append((edges, budget))
+            keys.append(key + (budget << ref_shift))
+            # the reference filler: budget + 1 columns of y + 1 points
+            gradings.append(2 * (count + (budget + 1) * (y + 1) - (d + 1)) - hs + d)
+            actions.append(action)
+            for j in fits[budget]:
+                if j < i:
+                    break
+                pj, qj, shift = p[j], q[j], w * j
+                m = 1
+                while m * qj <= budget:
+                    # columns x = 0..mq-1 under m primitive steps (q, p) from height y:
+                    # sum of y + 1 + floor(p x / q), with sum_{r<q} floor(p r / q) =
+                    # (p-1)(q-1)/2 for coprime p, q
+                    points = count + m * qj * (y + 1) + pj * qj * m * (m - 1) // 2 + m * (pj - 1) * (qj - 1) // 2
+                    edge_action = action + m * coef[j]
+                    for h in (0, 1):
+                        visit(j + 1, budget - m * qj, edges + ((j, m, h),), key + ((2 * m + h) << shift),
+                              points, y + m * pj, hs + h, edge_action)
+                    m += 1
 
-        recurse(0, d, [], 0, 0, 0, 0.0)
-        return gens, gradings, actions
+        visit(0, d, (), 0, 0, 0, 0, 0.0)
+        return gens, gradings, actions, keys
 
     # -- differential ---------------------------------------------------------------
 
     def _corner_hull(self, a: int, b: Optional[int]) -> Optional[Tuple[Edge, ...]]:
-        """Edges rounding the corner between one primitive step of level ``a``
-        and one of level ``b`` (``None``: the degree wall), labels stripped.
-
-        The steps are replaced by the maximal concave lattice path strictly
-        below the corner vertex.  Returns None when that path descends or
-        uses a slope outside the census.  The shape is translation invariant,
-        so ``boundaries`` computes it once per (a, b) pair.
+        """Edges rounding the corner between one primitive step of level ``a`` and one of
+        level ``b`` (``None``: the degree wall), labels stripped; None when the rounding
+        descends or leaves the census.  A rounded level not strictly between ``a`` and
+        ``b`` would alias a neighbour's key slot: it raises CalibrationError.
         """
-        pa, qa = self._p[a], self._q[a]
         pb, qb = (0, 0) if b is None else (self._p[b], self._q[b])
-        # column maxima under the two old primitive segments from u = (0, 0)
-        # through the corner v = (qa, pa), excluding v itself
-        pts = [(x, (pa * x) // qa) for x in range(qa)] + [(qa, pa - 1)]
-        pts += [(qa + x, pa + (pb * x) // qb) for x in range(1, qb + 1)]
-        zone: Tuple[Edge, ...] = ()
-        hull = _hull_path(pts, upper=True)
-        for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-            dx, dy = x1 - x0, y1 - y0
-            g = math.gcd(dx, dy)
-            level = self._id_of.get((dy // g, dx // g))
-            if level is None:  # descending, or off the census: no generator path
+        zone = []
+        for p, q, g in _round_corner(self._p[a], self._q[a], pb, qb):
+            level = self._id_of.get((p, q))
+            if level is None:
                 return None
-            zone += ((level, g, 0),)
-        return zone
+            if not (a < level and (b is None or level < b)):
+                raise CalibrationError(f"the corner between levels {a} and {b} rounds onto level {level}")
+            zone.append((level, g, 0))
+        return tuple(zone)
 
     def boundaries(self) -> List[List[int]]:
         """Indices of the generators in d(generator i), for every i, over the two-element field.
 
-        One term per corner and per valid relabeling of the rounded zone with
-        total h-count one less than before: the surviving h (when the corner
-        joined two h edges) may sit on any zone edge, at most one per level
-        and never on a flat run.  A corner that rounds off the census raises
-        CalibrationError.
+        One term per corner and per relabeling of the rounded zone with total
+        h-count one less: a surviving h may sit on any zone edge but a flat
+        one.  A zone's levels lie strictly between the corner's, so the path
+        is a generator and its key is the generator's plus the corner shape's
+        delta.  A corner that rounds off the census raises CalibrationError.
+
+        The terms are pairwise distinct, so they are listed with no parity
+        fold.  For corners k < k', a term of corner k lowers the multiplicity
+        on level a_k by one (or drops the edge); a term of corner k' touches
+        only levels from a_k' on.  Within one corner, the labelings put the
+        surviving h on different levels.
         """
         if self._boundaries is not None:
             return self._boundaries
-        hulls: Dict[Tuple[int, Optional[int]], Tuple[Edge, ...]] = {}
-        index, ref_id, p, q = self.index, self.ref_id, self._p, self._q
+        index = {key: i for i, key in enumerate(self._keys)}
+        w, ref_id, p, q = self._w, self.ref_id, self._p, self._q
+        hulls: Dict[Tuple[int, Optional[int]], Tuple[int, List[int]]] = {}
+        shapes: Dict[Tuple[Edge, Optional[Edge]], Tuple[int, ...]] = {}
+
+        def shape_deltas(ea: Edge, eb: Optional[Edge]) -> Tuple[int, ...]:
+            # key deltas of the corner's terms, one per relabeling of its rounded zone
+            (a, ma, ha), (b, mb, hb) = ea, eb or (None, 0, 0)
+            hull = hulls.get((a, b))
+            if hull is None:
+                zone = self._corner_hull(a, b)
+                if zone is None:
+                    outgoing = "the degree wall" if b is None else f"level {p[b]}/{q[b]}"
+                    raise CalibrationError(f"the corner between level {p[a]}/{q[a]} and {outgoing} "
+                                           "rounds off the census")
+                hull = hulls[a, b] = (sum((2 * g) << (w * i) for i, g, _ in zone),
+                                      [i for i, _, _ in zone if i != ref_id])
+            # each corner edge loses one step and its h; what is left of it keeps its slot
+            base = hull[0] - ((2 + ha) << (w * a)) - (0 if b is None else (2 + hb) << (w * b))
+            if ha + hb == 1:  # one h left: the zone as built
+                return (base,)
+            # two h: the survivor on one zone edge, never the flat one
+            levels = [a] * (ma > 1) + hull[1] + [b] * (mb > 1)
+            return tuple(base + (1 << (w * i)) for i in levels)
+
         bnds: List[List[int]] = []
-        for edges, ref in self.generators:
+        for key, (edges, ref) in zip(self._keys, self.generators):
             if ref:
                 edges += ((ref_id, ref, 0),)
-            counts: Dict[int, int] = {}
-            last = len(edges) - 1
-            for corner, (a, ma, ha) in enumerate(edges):
-                b, mb, hb = edges[corner + 1] if corner < last else (None, 0, 0)
-                zone_h = ha + hb
-                if zone_h == 0:
-                    continue
-                hull = hulls.get((a, b))
-                if hull is None:
-                    hull = hulls[a, b] = self._corner_hull(a, b)
-                    if hull is None:
-                        outgoing = "the degree wall" if b is None else f"level {p[b]}/{q[b]}"
-                        raise CalibrationError(
-                            f"the corner between level {p[a]}/{q[a]} and {outgoing} rounds off the census"
-                        )
-                # incoming remainder, hull edges, outgoing remainder
-                zone = ((a, ma - 1, 0),) if ma > 1 else ()
-                zone += hull
-                if mb > 1:
-                    zone += ((b, mb - 1, 0),)
-                head, rest = edges[:corner], edges[corner + 2 :]
-                # one h left: the zone as built; two: the survivor on one zone edge
-                labelings = [zone] if zone_h == 1 else [
-                    zone[:j] + ((i, m, 1),) + zone[j + 1 :] for j, (i, m, _) in enumerate(zone) if i != ref_id
-                ]
-                for labeled in labelings:
-                    # zone slopes lie strictly between its neighbours': the path is concave, so a generator
-                    path = head + labeled + rest
-                    ti = index[(path[:-1], path[-1][1]) if path[-1][0] == ref_id else (path, 0)]
-                    counts[ti] = counts.get(ti, 0) + 1
-            bnds.append([ti for ti, c in counts.items() if c % 2 == 1])
+            row: List[int] = []
+            ea = edges[0]
+            for eb in edges[1:] + (None,):
+                if ea[2] or (eb is not None and eb[2]):
+                    deltas = shapes.get((ea, eb))
+                    if deltas is None:
+                        deltas = shapes[ea, eb] = shape_deltas(ea, eb)
+                    for delta in deltas:
+                        row.append(index[key + delta])
+                ea = eb
+            bnds.append(row)
         self._boundaries = bnds
+        self._keys = []  # the keys serve only the boundary pass
         return bnds
 
     # -- homology -----------------------------------------------------------------
@@ -236,35 +237,36 @@ class TwistComplex:
         """The essential columns of one filtration-order reduction over GF(2), with clearing.
 
         Rows and columns sit in filtration order (action, then grading, then
-        generator order).  Gradings are reduced from the top down, so a column
-        that is already the pivot row of a higher column is skipped: it
-        reduces to zero (Chen-Kerber, "Persistent homology computation with a
-        twist").  The differential lowers grading by exactly one, so every
-        pivot row of a grading is known before the grading is reduced, and a
-        column that reduces to zero there stays unpaired: it is essential.
+        generator order); a column is the set of its rows' positions, its pivot
+        the largest (PHAT's sparse columns).  Gradings are reduced from the top
+        down, so a column that is already the pivot row of a higher column is
+        skipped: it reduces to zero (Chen-Kerber, "Persistent homology
+        computation with a twist").  The differential lowers grading by exactly
+        one, so a column that reduces to zero stays unpaired: it is essential.
         They come grading by grading from the top, each in filtration order.
         """
         if self._essential is None:
             bnds, gradings = self.boundaries(), self.gradings
-            order = sorted(range(len(gradings)), key=lambda i: (self.actions[i], gradings[i]))
+            # two stable sorts: by action, ties by grading, then by generator order
+            order = sorted(range(len(gradings)), key=gradings.__getitem__)
+            order.sort(key=self.actions.__getitem__)
             pos = [0] * len(order)
             for k, gi in enumerate(order):
                 pos[gi] = k
-            pivots: Dict[int, int] = {}  # low row -> reduced column
+            pivots: Dict[int, set] = {}  # low row -> reduced column
             essential: List[int] = []
             # a stable sort: gradings from the top, each in filtration order
             for gi in sorted(order, key=gradings.__getitem__, reverse=True):
                 if pos[gi] in pivots:
                     continue
-                col = 0
-                for t in bnds[gi]:
-                    col |= 1 << pos[t]
+                col = {pos[t] for t in bnds[gi]}
                 while col:
-                    low = col.bit_length() - 1
-                    if low not in pivots:
+                    low = max(col)
+                    pivot = pivots.get(low)
+                    if pivot is None:
                         pivots[low] = col
                         break
-                    col ^= pivots[low]
+                    col ^= pivot
                 else:
                     essential.append(gi)
             self._essential = essential
@@ -275,23 +277,27 @@ class TwistComplex:
         return dict(Counter(self.gradings[gi] for gi in self._reduce()))
 
     def validate(self, action_floor: float = 0.0) -> dict:
-        """Structural checks: grading drop, action decrease, d^2 = 0, rank pattern.
+        """Structural checks: distinct terms, grading drop, action decrease, d^2 = 0, rank pattern.
 
         ``action_floor`` is the configured positivity floor every nonzero
-        differential entry must clear.  The first three are checked per
-        generator, in one pass over the boundary lists.
+        differential entry must clear.  All but the rank pattern are checked
+        per generator, in one pass over the boundary lists.
         """
         bnds, gradings, actions = self.boundaries(), self.gradings, self.actions
         min_drop = math.inf
         for i, targets in enumerate(bnds):
-            square = set()  # d(d(generator i)) over GF(2); boundary lists hold distinct indices
+            if len(set(targets)) < len(targets):
+                raise CalibrationError(f"repeated boundary term at generator {self.generators[i]}")
+            below, action = gradings[i] - 1, actions[i]
+            square = set()  # d(d(generator i)) over GF(2)
             for t in targets:
-                if gradings[i] - gradings[t] != 1:
+                if gradings[t] != below:
                     raise CalibrationError(f"grading drop {gradings[i] - gradings[t]} != 1")
-                drop = actions[i] - actions[t]
+                drop = action - actions[t]
                 if drop <= action_floor:
                     raise CalibrationError(f"differential fails to decrease action ({drop})")
-                min_drop = min(min_drop, drop)
+                if drop < min_drop:
+                    min_drop = drop
                 square.symmetric_difference_update(bnds[t])
             if square:
                 raise CalibrationError(f"d^2 != 0 at generator {self.generators[i]}")
@@ -334,9 +340,7 @@ def radial_staircase_value(profile: TwistProfile, d: int) -> float:
     return sum(H(k / (d + 1.0)) for k in range(1, d + 1))
 
 
-def build_complex(
-    profile: TwistProfile, d: int, generator_cap: int = GENERATOR_CAP
-) -> TwistComplex:
+def build_complex(profile: TwistProfile, d: int, generator_cap: int = GENERATOR_CAP) -> TwistComplex:
     """Construct the filtered complex (requires a compactly supported profile)."""
     if not profile.support_flag:
         raise ValueError("complex export requires a profile vanishing near r = 1")
@@ -362,13 +366,8 @@ def spectral_invariant_cd(profile: TwistProfile, d: int, validate: Optional[bool
     return radial_staircase_value(profile, d)
 
 
-def axioms_report(
-    f: TwistProfile,
-    g: TwistProfile,
-    dmax: int = 128,
-    ds: Optional[Sequence[int]] = None,
-    weyl_tolerance: float = 0.10,
-) -> dict:
+def axioms_report(f: TwistProfile, g: TwistProfile, dmax: int = 128, ds: Optional[Sequence[int]] = None,
+                  weyl_tolerance: float = 0.10) -> dict:
     """Per-axiom verdicts for the pair (f, g) up to degree dmax.
 
     Identity is checked exactly on the zero profile; monotonicity applies

@@ -80,7 +80,11 @@ class Segment:
     terms: Tuple[Tuple[float, int], ...]
 
     def value(self, s: float) -> float:
-        return sum(c * s**k for c, k in self.terms)
+        # a plain loop adds in the order sum() does, so the same IEEE value, without a generator
+        v = 0
+        for c, k in self.terms:
+            v += c * s**k
+        return v
 
     def derivative(self, s: float) -> float:
         return sum(c * k * s ** (k - 1) for c, k in self.terms if k != 0)

@@ -188,6 +188,70 @@ def pointwise_volume_quadrature(a: float, b: float, n_mu: int, n_angle: int) -> 
     return abs(total)
 
 
+def splice_boundaries(cx) -> list:
+    """Oracle for ``pfh.TwistComplex.boundaries``: each term's path spliced as the
+    tuple head + rounded zone + rest and looked up by its generator, with the terms
+    folded by parity."""
+    index = {g: i for i, g in enumerate(cx.generators)}
+    ref_id, hulls = cx.ref_id, {}
+    bnds = []
+    for edges, ref in cx.generators:
+        if ref:
+            edges += ((ref_id, ref, 0),)
+        counts = {}
+        last = len(edges) - 1
+        for corner, (a, ma, ha) in enumerate(edges):
+            b, mb, hb = edges[corner + 1] if corner < last else (None, 0, 0)
+            zone_h = ha + hb
+            if zone_h == 0:
+                continue
+            if (a, b) not in hulls:
+                hulls[a, b] = cx._corner_hull(a, b)
+            # incoming remainder, hull edges, outgoing remainder
+            zone = ((a, ma - 1, 0),) if ma > 1 else ()
+            zone += hulls[a, b]
+            if mb > 1:
+                zone += ((b, mb - 1, 0),)
+            head, rest = edges[:corner], edges[corner + 2 :]
+            # one h left: the zone as built; two: the survivor on one zone edge, never a flat one
+            labelings = [zone] if zone_h == 1 else [
+                zone[:j] + ((i, m, 1),) + zone[j + 1 :] for j, (i, m, _) in enumerate(zone) if i != ref_id
+            ]
+            for labeled in labelings:
+                path = head + labeled + rest
+                ti = index[(path[:-1], path[-1][1]) if path[-1][0] == ref_id else (path, 0)]
+                counts[ti] = counts.get(ti, 0) + 1
+        bnds.append([ti for ti, c in counts.items() if c % 2 == 1])
+    return bnds
+
+
+def bitmask_essential(cx) -> list:
+    """Oracle for ``pfh.TwistComplex._reduce``: the same clearing reduction with each
+    column an int bitmask over the filtration positions, ordered by a tuple key."""
+    bnds, gradings = cx.boundaries(), cx.gradings
+    order = sorted(range(len(gradings)), key=lambda i: (cx.actions[i], gradings[i]))
+    pos = [0] * len(order)
+    for k, gi in enumerate(order):
+        pos[gi] = k
+    pivots = {}  # low row -> reduced column
+    essential = []
+    for gi in sorted(order, key=gradings.__getitem__, reverse=True):
+        if pos[gi] in pivots:
+            continue
+        col = 0
+        for t in bnds[gi]:
+            col |= 1 << pos[t]
+        while col:
+            low = col.bit_length() - 1
+            if low not in pivots:
+                pivots[low] = col
+                break
+            col ^= pivots[low]
+        else:
+            essential.append(gi)
+    return essential
+
+
 def hofer_distance_bound(f, g, grid: int = 2048) -> float:
     """Oracle for the Hofer-Lipschitz bound of ``pfh.axioms_report``: the
     oscillation of H_f - H_g over the radii j / grid, with each difference

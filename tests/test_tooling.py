@@ -13,7 +13,8 @@ import pytest
 
 from echlab.cli import RunConfig, run
 
-PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PERFBENCH = os.path.join(ROOT, "perfbench")
 SPANS = os.path.join(PERFBENCH, "spans.py")
 
 
@@ -85,3 +86,13 @@ def test_selftest_bundle_matches_the_benchmark_digest():
     bundle = [b.to_json(), {name: t.to_csv() for name, t in b.tables.items()}, b.plots]
     text = json.dumps(bundle, sort_keys=True, default=str, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_the_version_has_one_source():
+    # pyproject.toml reads the version from echlab.__version__, so a bump cannot leave a stale copy
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "echlab.__version__"}
