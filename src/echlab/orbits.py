@@ -248,13 +248,15 @@ class CurveData:
         object.__setattr__(self, "negative_ends", tuple(self.negative_ends))
         self._check_side(self.positive_ends, self.alpha, "positive")
         self._check_side(self.negative_ends, self.beta, "negative")
-        act = self.alpha.action - self.beta.action
+        # a generated tower shares a set drawn twice, so its curve skips the subtraction
+        act = _ZERO if self.alpha is self.beta else self.alpha.action - self.beta.action
         if act.numerator < 0:  # the sign, without Fraction's ordering
             raise StructuralError(f"curve action must be nonnegative, got {act}")
         object.__setattr__(self, "action", act if act.numerator else _ZERO)
-        e = sum(2 * ends.count - (0 if ends.c0_present else 1)
-                for side in (self.positive_ends, self.negative_ends) for ends in side)
-        object.__setattr__(self, "j0", -2 + 2 * self.genus + e)
+        j0 = -2 + 2 * self.genus
+        for ends in self.positive_ends + self.negative_ends:
+            j0 += 2 * ends.count - (0 if ends.c0_present else 1)
+        object.__setattr__(self, "j0", j0)
 
     @staticmethod
     def _check_side(ends: Tuple[CurveEnds, ...], endpoint: OrbitSet, side: str):

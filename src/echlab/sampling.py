@@ -71,15 +71,17 @@ def pool_entries(pool: Sequence[SimpleOrbit]) -> List[Entries]:
             for o in pool]
 
 
+def _draw_entries(rng: random.Random, entries: Sequence[Entries]) -> List[Tuple[SimpleOrbit, int]]:
+    """The ``pool_entries`` pairs of one random admissible generator, in draw order."""
+    chosen = rng.sample(range(len(entries)), 1 + rng.randrange(SET_MAX_ORBITS))
+    return [by_mult[0] if by_mult[0][0].is_hyperbolic else by_mult[rng.randrange(SET_MAX_MULT)]
+            for by_mult in (entries[i] for i in chosen)]
+
+
 def random_orbit_set(rng: random.Random, entries: Sequence[Entries]) -> OrbitSet:
     """A random admissible generator over a pool's ``pool_entries``: hyperbolic
     entries stay at multiplicity 1.  The sets share the entry pairs."""
-    chosen = rng.sample(range(len(entries)), 1 + rng.randrange(SET_MAX_ORBITS))
-    picked = []
-    for i in chosen:
-        by_mult = entries[i]
-        picked.append(by_mult[0] if by_mult[0][0].is_hyperbolic else by_mult[rng.randrange(SET_MAX_MULT)])
-    return OrbitSet(picked)
+    return OrbitSet(_draw_entries(rng, entries))
 
 
 @lru_cache(maxsize=64)
@@ -119,11 +121,21 @@ def random_tower(rng: random.Random, n: int) -> Tower:
 
     Its draws are single-argument ``randrange`` calls, one call layer short
     of ``randint``: randint(a, b) draws a + randrange(b - a + 1), so the
-    stream is the one ``randint`` gave.
+    stream is the one ``randint`` gave.  A set drawn twice is built once and
+    shared; ``n`` must be an integer >= 1, checked before the first draw.
     """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     pool = orbit_pool(rng)
     entries = pool_entries(pool)
-    sets = [random_orbit_set(rng, entries) for _ in range(n + 1)]
+    built = {}  # one OrbitSet per distinct draw, keyed on the ids of its shared pool pairs
+    sets = []
+    for _ in range(n + 1):
+        picked = _draw_entries(rng, entries)
+        key = frozenset(map(id, picked))
+        if key not in built:
+            built[key] = OrbitSet(picked)
+        sets.append(built[key])
     # sort on the exact integers action * L, with L the LCM of the pool's denominators
     common = math.lcm(*(o.action.denominator for o in pool))
     sets.sort(key=lambda s: s.action.numerator * (common // s.action.denominator), reverse=True)

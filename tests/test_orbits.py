@@ -447,6 +447,23 @@ def test_random_tower_shares_curve_ends():
     assert len({id(side) for side in sides}) == len(set(sides)) < len(sides) // 3
 
 
+def test_random_tower_shares_orbit_sets():
+    t = random_tower(random.Random(31415), 1000)
+    sets = [t.curves[0].alpha] + [c.beta for c in t.curves]
+    # one object per distinct drawn set, which repeat across the tower
+    distinct = {tuple((o.label, m) for o, m in s.items()) for s in sets}
+    assert len(sets) == 1001 and len({id(s) for s in sets}) == len(distinct) == 711
+    equal = [c for c in t.curves if c.alpha == c.beta]
+    assert len(equal) == 290
+    assert all(c.alpha is c.beta and c.action == 0 for c in equal)
+    # equal but distinct sets give the curve the values a shared set gives it
+    c = equal[0]
+    twin = OrbitSet(c.beta.items())
+    assert twin == c.beta and twin is not c.beta
+    apart = CurveData(c.genus, c.positive_ends, c.negative_ends, c.alpha, twin, c.c_tau)
+    assert (apart.action, apart.j0) == (c.action, c.j0)
+
+
 def test_curve_ends_are_slotted_and_frozen():
     e = CurveEnds("a", (2, 1), True)
     assert not hasattr(e, "__dict__")

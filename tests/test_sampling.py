@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from itertools import combinations, product
 from typing import Optional, Sequence
 
@@ -155,3 +156,12 @@ def test_random_tower_keeps_the_randint_stream(seed, n):
     want = json.dumps(tower_to_json(oracles.random_tower(slow, n)))
     assert json.dumps(tower_to_json(random_tower(fast, n))) == want
     assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, "7", None])
+def test_random_tower_refuses_a_bad_length_before_drawing(n):
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {re.escape(repr(n))}"):
+        random_tower(rng, n)
+    assert rng.getstate() == state
