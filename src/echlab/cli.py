@@ -136,8 +136,6 @@ def _ellipsoid_census(cfg: RunConfig, bundle: ReportBundle):
         [(c["label"], c["type"], float(c["action"]), c["degenerate"]) for c in census],
     )
     bundle.manifest["rational_ratio"] = e.is_rational
-    core = [c for c in census if c["type"] == "core-circle"]
-    bundle.add_verdict("census_core_count", len(core) <= 2, detail=f"{len(core)} core circles")
 
 
 def _ellipsoid_spectrum(cfg: RunConfig, bundle: ReportBundle):
@@ -156,8 +154,6 @@ def _ellipsoid_spectrum(cfg: RunConfig, bundle: ReportBundle):
         ["k", "c_k", "grading", "m", "n"],
         [(k, v, 2 * k, m, n) for k, (v, m, n) in enumerate(values)],
     )
-    nondecreasing = all(a[0] <= b[0] + 1e-12 for a, b in zip(values, values[1:]))
-    bundle.add_verdict("spectrum_sorted", nondecreasing)
 
 
 def _ellipsoid_weyl(cfg: RunConfig, bundle: ReportBundle):
@@ -167,8 +163,7 @@ def _ellipsoid_weyl(cfg: RunConfig, bundle: ReportBundle):
     table = el.weyl_table(e, kmax, formal=cfg.params["formal"])
     rows = [(r["k"], r["c_k"], r["ratio"], r["deviation"]) for r in table["rows"]]
     bundle.add_table("weyl", ["k", "c_k", "ratio", "deviation"], rows)
-    t = bundle.tables["weyl"]
-    bundle.plots["weyl_convergence"] = emit_svg(t, "k", ["deviation"], title="weyl deviation", logx=True, logy=True)
+    bundle.plots["weyl_convergence"] = emit_svg(bundle.tables["weyl"], "k", "deviation", "weyl deviation", logy=True)
     final_dev = float(table["rows"][-1]["deviation"])
     bundle.add_verdict(
         "weyl_final_deviation",
@@ -214,8 +209,6 @@ def _twist_calabi(cfg: RunConfig, bundle: ReportBundle):
     value = twist.calabi(f)
     hofer = twist.hofer_norm_bound(f)
     bundle.add_table("calabi", ["calabi", "hofer_bound"], [(value, hofer)])
-    bundle.add_verdict("calabi_finite" if math.isfinite(value) else "calabi_divergent", True,
-                       detail=f"Cal = {value}")
 
 
 def _twist_census(cfg: RunConfig, bundle: ReportBundle):
@@ -233,16 +226,14 @@ def _twist_census(cfg: RunConfig, bundle: ReportBundle):
 
 def _twist_complex(cfg: RunConfig, bundle: ReportBundle):
     f = _load_profile(cfg.params["profile"])
-    d = cfg.params["d"]
-    cx = pfh.build_complex(f, d, generator_cap=cfg.params["cap"])
-    rep = cx.validate()
+    cx = pfh.build_complex(f, cfg.params["d"], generator_cap=cfg.params["cap"])
+    rep = cx.validate()  # a failed check raises CalibrationError, which ``run`` makes a verdict
     bundle.add_table(
         "complex",
         ["generators", "classes", "distinguished_grading", "min_action_drop"],
         [(rep["generators"], rep["class_count"], rep["distinguished_grading"],
           rep["min_action_drop"] if rep["min_action_drop"] is not None else 0.0)],
     )
-    bundle.add_verdict("complex_valid", True, detail=f"d={d}: {rep['generators']} generators")
 
 
 def _twist_cd(cfg: RunConfig, bundle: ReportBundle):
@@ -283,9 +274,7 @@ def _twist_infinite(cfg: RunConfig, bundle: ReportBundle):
         for d, ratio in sorted(r["ratios"].items()):
             rows.append((r["i"], r["calabi"], r["hofer_bound"], d, ratio))
     bundle.add_table("infinite_twist", ["i", "calabi", "hofer_bound", "d", "ratio"], rows)
-    bundle.plots["infinite_twist"] = emit_svg(
-        bundle.tables["infinite_twist"], "d", ["ratio"], title="c_d/d by truncation", logx=True
-    )
+    bundle.plots["infinite_twist"] = emit_svg(bundle.tables["infinite_twist"], "d", "ratio", "c_d/d by truncation")
     bundle.add_verdict("calabi_increasing", rep["calabi_strictly_increasing"])
     bundle.add_verdict("monotone_chain", rep["monotone_chain_ok"])
     bundle.add_verdict("step1_domination", rep["step1_ok"])
@@ -305,8 +294,6 @@ def _partitions(cfg: RunConfig, bundle: ReportBundle):
         rep = partition_properties(theta, m)
         bundle.add_verdict("partition_properties", rep["all_pass"],
                            detail=f"disjoint={rep['disjoint']} one={rep['one_in_exactly_one']} bound={rep['count_bound']}")
-    else:
-        bundle.add_verdict("partition_properties", True, detail="m < 2 or integral rotation: vacuous")
 
 
 def _score(cfg: RunConfig, bundle: ReportBundle):
@@ -327,7 +314,6 @@ def _score(cfg: RunConfig, bundle: ReportBundle):
             ["object", "score", "action", "is_generator"],
             [("orbit-set", alpha.score, float(alpha.action), is_ech_generator(alpha))],
         )
-    bundle.add_verdict("score_computed", True)
 
 
 def _tower(cfg: RunConfig, bundle: ReportBundle):
@@ -342,7 +328,6 @@ def _tower(cfg: RunConfig, bundle: ReportBundle):
     )
     bundle.add_verdict("score_telescoping", rep["score_telescoping_ok"])
     bundle.add_verdict("action_telescoping", rep["action_telescoping_ok"])
-    bundle.add_verdict("high_action_budget", rep["high_action_within_budget"])
     bundle.add_verdict("no_negative_low_action_noncylinder",
                        not rep["negative_low_action_noncylinders"])
 
@@ -384,8 +369,7 @@ def _selftest(cfg: RunConfig, bundle: ReportBundle):
     table = el.weyl_table(e, 4000)
     bundle.add_table("weyl", ["k", "c_k", "ratio", "deviation"],
                      [(r["k"], r["c_k"], r["ratio"], r["deviation"]) for r in table["rows"]])
-    bundle.plots["weyl_convergence"] = emit_svg(bundle.tables["weyl"], "k", ["deviation"],
-                                                title="weyl deviation", logx=True, logy=True)
+    bundle.plots["weyl_convergence"] = emit_svg(bundle.tables["weyl"], "k", "deviation", "weyl deviation", logy=True)
     bundle.add_verdict("weyl_small", table["rows"][-1]["deviation"] <= 0.05 * table["volume"])
     ok = True
     for a, b in [(1.0, math.sqrt(2)), (1.0, (1 + math.sqrt(5)) / 2), (3.0, math.pi)]:

@@ -398,7 +398,8 @@ def tower_audit(t: Tower, action_threshold) -> dict:
         "ech_index_deviation_from_2n": sum(indices) - 2 * n,
         "high_action_count": len(high_action),
         "high_action_budget": budget,
-        "high_action_within_budget": len(high_action) <= budget,
+        # count <= sum / threshold, on the exact integer keys: the float budget rounds
+        "high_action_within_budget": len(high_action) * threshold <= sum(keys),
         "count_t_positive": sum(1 for s in scores if s > 0),
         "count_t0_j01": sum(1 for s, y in zip(scores, ys) if s == 0 and y == -1),
         "count_t0_j02": sum(1 for s, y in zip(scores, ys) if s == 0 and y == 0),

@@ -15,7 +15,8 @@ The enumeration makes one call per generator and yields its grading, action
 and path key, the sum of (2 mult + h) << (w level_id) over its edges and the
 reference edge.  Each corner shape (edge, next edge) has fixed key deltas, so
 a boundary term is one integer addition and one index lookup.  Homology comes
-from one filtration-order reduction over GF(2) with clearing, on set columns.
+from a filtration-order reduction over GF(2) with clearing, on set columns,
+one grading at a time.
 
 The spectral invariant c_d is the calibrated radial staircase value
 sum_{k=1..d} H(k/(d+1)); the run manifest records the calibration constants.
@@ -236,39 +237,41 @@ class TwistComplex:
     def _reduce(self) -> List[int]:
         """The essential columns of one filtration-order reduction over GF(2), with clearing.
 
-        Rows and columns sit in filtration order (action, then grading, then
-        generator order); a column is the set of its rows' positions, its pivot
-        the largest (PHAT's sparse columns).  Gradings are reduced from the top
-        down, so a column that is already the pivot row of a higher column is
-        skipped: it reduces to zero (Chen-Kerber, "Persistent homology
-        computation with a twist").  The differential lowers grading by exactly
-        one, so a column that reduces to zero stays unpaired: it is essential.
-        They come grading by grading from the top, each in filtration order.
+        The differential lowers grading by exactly one, so the reduction runs
+        one grading at a time, from the top down.  A grading's columns and
+        rows sit in filtration order (action, then generator order); a column
+        is the set of its rows' ranks within the grading below, its pivot the
+        largest (PHAT's sparse columns).  A column that is already the pivot
+        row of a column one grading up is skipped: it reduces to zero
+        (Chen-Kerber, "Persistent homology computation with a twist").  A
+        column that reduces to zero stays unpaired: it is essential.  They
+        come grading by grading from the top, each in filtration order.
         """
         if self._essential is None:
             bnds, gradings = self.boundaries(), self.gradings
-            # two stable sorts: by action, ties by grading, then by generator order
-            order = sorted(range(len(gradings)), key=gradings.__getitem__)
-            order.sort(key=self.actions.__getitem__)
-            pos = [0] * len(order)
-            for k, gi in enumerate(order):
-                pos[gi] = k
-            pivots: Dict[int, set] = {}  # low row -> reduced column
+            by_grading: Dict[int, List[int]] = {}
+            # a stable sort: each grading's generators by action, ties in generator order
+            for gi in sorted(range(len(gradings)), key=self.actions.__getitem__):
+                by_grading.setdefault(gradings[gi], []).append(gi)
             essential: List[int] = []
-            # a stable sort: gradings from the top, each in filtration order
-            for gi in sorted(order, key=gradings.__getitem__, reverse=True):
-                if pos[gi] in pivots:
-                    continue
-                col = {pos[t] for t in bnds[gi]}
-                while col:
-                    low = max(col)
-                    pivot = pivots.get(low)
-                    if pivot is None:
-                        pivots[low] = col
-                        break
-                    col ^= pivot
-                else:
-                    essential.append(gi)
+            cleared: Dict[int, set] = {}  # the pivots of the grading above, by rank in this one
+            for g in sorted(by_grading, reverse=True):
+                rank = {gi: k for k, gi in enumerate(by_grading.get(g - 1, ()))}
+                pivots: Dict[int, set] = {}  # low row -> reduced column
+                for k, gi in enumerate(by_grading[g]):
+                    if k in cleared:
+                        continue
+                    col = {rank[t] for t in bnds[gi]}
+                    while col:
+                        low = max(col)
+                        pivot = pivots.get(low)
+                        if pivot is None:
+                            pivots[low] = col
+                            break
+                        col ^= pivot
+                    else:
+                        essential.append(gi)
+                cleared = pivots
             self._essential = essential
         return self._essential
 

@@ -33,8 +33,6 @@ class Table:
 def _cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     return str(v)
 
 

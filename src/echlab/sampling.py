@@ -78,12 +78,6 @@ def _draw_entries(rng: random.Random, entries: Sequence[Entries]) -> List[Tuple[
             for by_mult in (entries[i] for i in chosen)]
 
 
-def random_orbit_set(rng: random.Random, entries: Sequence[Entries]) -> OrbitSet:
-    """A random admissible generator over a pool's ``pool_entries``: hyperbolic
-    entries stay at multiplicity 1.  The sets share the entry pairs."""
-    return OrbitSet(_draw_entries(rng, entries))
-
-
 @lru_cache(maxsize=64)
 def _splits(n: int) -> tuple:
     """All partitions of n: the possible unordered end-multiplicity patterns."""

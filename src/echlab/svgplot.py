@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .reporting import Table
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 56
-PALETTE = ("#1f5fa8", "#c23b22", "#2e7d32", "#8e44ad", "#b8860b", "#444444")
+COLOR = "#1f5fa8"
 
 
 def _fmt(x: float) -> str:
@@ -36,15 +35,8 @@ def _ticks(lo: float, hi: float, log: bool) -> list:
     return out
 
 
-def emit_svg(
-    table: Table,
-    x: str,
-    ys: Sequence[str],
-    title: str = "",
-    logx: bool = False,
-    logy: bool = False,
-) -> str:
-    """Self-contained polyline plot of the named numeric columns."""
+def emit_svg(table: Table, x: str, y: str, title: str, logy: bool = False) -> str:
+    """Self-contained polyline plot of column ``y`` against column ``x`` on a log axis."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
@@ -55,28 +47,15 @@ def emit_svg(
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>\n'
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" stroke="black"/>\n'
     )
-    if not table.rows:
-        return (
-            head + axes
-            + f'<text x="{WIDTH // 2}" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">no data</text>\n</svg>\n'
-        )
 
-    cols = {name: i for i, name in enumerate(table.columns)}
-    for name in [x, *ys]:
-        if name not in cols:
-            raise ValueError(f"column {name!r} not in table")
-        for row in table.rows:
-            if not isinstance(row[cols[name]], (int, float)):
-                raise ValueError(f"column {name!r} is not numeric")
+    def transform(v: float) -> float:
+        return math.log10(v) if logy else v
 
-    def transform(v: float, log: bool) -> float:
-        return math.log10(v) if log else v
-
-    xs = [transform(float(r[cols[x]]), logx) for r in table.rows]
-    all_y = [transform(float(r[cols[c]]), logy) for c in ys for r in table.rows]
+    xi, yi = table.columns.index(x), table.columns.index(y)
+    xs = [math.log10(float(r[xi])) for r in table.rows]
+    ys = [transform(float(r[yi])) for r in table.rows]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(all_y), max(all_y)
+    y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -88,14 +67,12 @@ def emit_svg(
     def py(v: float) -> float:
         return HEIGHT - MARGIN - (v - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
 
-    body = []
-    if title:
-        body.append(
-            f'<text x="{WIDTH // 2}" y="28" text-anchor="middle" '
-            f'font-family="monospace" font-size="15">{title}</text>'
-        )
-    for tick in _ticks(10.0**x_lo if logx else x_lo, 10.0**x_hi if logx else x_hi, logx):
-        tx = px(transform(tick, logx))
+    body = [
+        f'<text x="{WIDTH // 2}" y="28" text-anchor="middle" '
+        f'font-family="monospace" font-size="15">{title}</text>'
+    ]
+    for tick in _ticks(10.0**x_lo, 10.0**x_hi, True):
+        tx = px(math.log10(tick))
         if MARGIN - 1 <= tx <= WIDTH - MARGIN + 1:
             body.append(
                 f'<line x1="{_fmt(tx)}" y1="{HEIGHT - MARGIN}" x2="{_fmt(tx)}" '
@@ -104,22 +81,17 @@ def emit_svg(
                 f'font-family="monospace" font-size="11">{tick:g}</text>'
             )
     for tick in _ticks(10.0**y_lo if logy else y_lo, 10.0**y_hi if logy else y_hi, logy):
-        ty = py(transform(tick, logy))
+        ty = py(transform(tick))
         if MARGIN - 1 <= ty <= HEIGHT - MARGIN + 1:
             body.append(
                 f'<line x1="{MARGIN - 5}" y1="{_fmt(ty)}" x2="{MARGIN}" y2="{_fmt(ty)}" stroke="black"/>'
                 f'<text x="{MARGIN - 8}" y="{_fmt(ty + 4)}" text-anchor="end" '
                 f'font-family="monospace" font-size="11">{tick:g}</text>'
             )
-    for ci, col in enumerate(ys):
-        pts = " ".join(
-            f"{_fmt(px(xv))},{_fmt(py(transform(float(r[cols[col]]), logy)))}"
-            for xv, r in zip(xs, table.rows)
-        )
-        color = PALETTE[ci % len(PALETTE)]
-        body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        body.append(
-            f'<text x="{WIDTH - MARGIN}" y="{MARGIN + 16 * ci}" text-anchor="end" '
-            f'font-family="monospace" font-size="12" fill="{color}">{col}</text>'
-        )
+    pts = " ".join(f"{_fmt(px(xv))},{_fmt(py(yv))}" for xv, yv in zip(xs, ys))
+    body.append(f'<polyline points="{pts}" fill="none" stroke="{COLOR}" stroke-width="1.5"/>')
+    body.append(
+        f'<text x="{WIDTH - MARGIN}" y="{MARGIN}" text-anchor="end" '
+        f'font-family="monospace" font-size="12" fill="{COLOR}">{y}</text>'
+    )
     return head + axes + "\n".join(body) + "\n</svg>\n"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .orbits import StructuralError, _array, _is_int, _number, _record
@@ -410,7 +409,9 @@ def periodic_census(f: TwistProfile, d: int) -> List[PeriodicCircle]:
                 if r is not None:
                     out.append(PeriodicCircle(p, q, r, level_action(f, p, q, r)))
             p += 1
-    out.sort(key=lambda c: (Fraction(c.p, c.q), c.q), reverse=True)
+    # distinct reduced p/q with q <= d differ by at least 1/d^2, more than the float spacing
+    # at any slope below 2^52 / d^2, and rounding is monotone: the float order is the exact one
+    out.sort(key=lambda c: c.p / c.q, reverse=True)
     return out
 
 

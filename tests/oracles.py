@@ -80,7 +80,7 @@ def hyperbolic_expectation(theta, m: int) -> tuple:
 
 
 def random_orbit_set(rng, entries) -> OrbitSet:
-    """``sampling.random_orbit_set`` as drawn with two-argument ``randint``."""
+    """The orbit set of ``sampling._draw_entries``'s draws, as drawn with two-argument ``randint``."""
     chosen = rng.sample(range(len(entries)), rng.randint(1, SET_MAX_ORBITS))
     picked = []
     for i in chosen:

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, output formats, and determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -451,13 +452,13 @@ def test_tol_and_cap_only_on_the_subcommands_that_read_them(tmp_path, capsys):
 def test_score_and_tower_commands(tmp_path, capsys):
     import random
 
-    from echlab.orbits import (curve_score, curve_to_json, is_ech_generator, k_invariant, orbit_set_to_json,
-                               total_score, tower_to_json)
-    from echlab.sampling import orbit_pool, pool_entries, random_orbit_set, random_tower
+    from echlab.orbits import (OrbitSet, curve_score, curve_to_json, is_ech_generator, k_invariant,
+                               orbit_set_to_json, total_score, tower_to_json)
+    from echlab.sampling import _draw_entries, orbit_pool, pool_entries, random_tower
 
     rng = random.Random(3)
     pool = orbit_pool(rng)
-    sets = orbit_set_to_json(random_orbit_set(rng, pool_entries(pool)))
+    sets = orbit_set_to_json(OrbitSet(_draw_entries(rng, pool_entries(pool))))
     spath = tmp_path / "set.json"
     spath.write_text(json.dumps(sets))
     assert main(["score", "--input", str(spath)]) == 0
@@ -518,6 +519,49 @@ def test_float_action_tower_telescopes_exactly(tmp_path, capsys):
         assert Fraction(num, den) == before["action"] and den & (den - 1) == 0
 
 
+def test_high_action_budget_is_exact(tmp_path, capsys):
+    # seven curves {a: k+1} -> {a: k} of action just above the threshold 0.333...:
+    # 7 * threshold <= the summed action, while the float budget read 6.999999999999999
+    from fractions import Fraction
+
+    from echlab.orbits import tower_audit, tower_from_json
+
+    action = Fraction(0.3333333333333333) + Fraction(1, 10**30)
+    doc = {"orbits": [{"label": "a", "action": [action.numerator, action.denominator], "theta": [1, 3],
+                       "kind": "elliptic", "period": 1}],
+           "curves": [{"genus": 0, "alpha": [["a", k + 1]], "beta": [["a", k]],
+                       "positive_ends": [{"orbit": "a", "multiplicities": [1], "c0": True}],
+                       "negative_ends": []} for k in range(7, 0, -1)]}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    assert main(["tower", "--input", str(path), "--threshold", "0.3333333333333333"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert set(verdicts) == {"score_telescoping", "action_telescoping", "no_negative_low_action_noncylinder"}
+    rep = tower_audit(tower_from_json(doc), 0.3333333333333333)
+    assert rep["high_action_count"] == 7 and rep["high_action_within_budget"]
+    assert rep["high_action_budget"] < 7  # the float value, kept in the report
+
+
+def test_commands_report_only_checks_that_can_fail(tmp_path, capsys):
+    # a census, a spectrum, a Calabi value, a validated complex and a score are
+    # reported as tables; a verdict that held by construction is gone
+    profile = os.path.join(PROFILES, "linear_cal.json")
+    spath = tmp_path / "set.json"
+    spath.write_text(json.dumps({"orbits": [{"label": "a", "action": [1, 2], "theta": [1, 5], "kind": "elliptic"}],
+                                 "entries": [["a", 2]]}))
+    runs = [(["ellipsoid", "census", "--a", "1", "--b", "2"], set()),
+            (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2"], set()),
+            (["twist", "calabi", "--profile", profile], set()),
+            (["twist", "complex", "--profile", profile, "--d", "3"], set()),
+            (["score", "--input", str(spath)], set()),
+            (["partitions", "--theta", "1", "--m", "4"], set()),
+            (["partitions", "--theta", "1/5", "--m", "4"], {"partition_properties"})]
+    for argv, verdicts in runs:
+        assert main(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc["verdicts"]) == verdicts and doc["tables"], argv
+
+
 def test_selftest_deterministic(tmp_path):
     b1 = run(RunConfig("selftest", {}, seed=11))
     b2 = run(RunConfig("selftest", {}, seed=11))
@@ -541,19 +585,29 @@ def test_config_file_merges_params(tmp_path, capsys):
 
 def test_svg_emission():
     t = Table(("x", "y"), [(1, 2.0), (2, 1.0), (3, 4.0)])
-    svg = emit_svg(t, "x", ["y"], title="demo")
+    svg = emit_svg(t, "x", "y", "demo")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-    assert "polyline" in svg
-    empty = emit_svg(Table(("x", "y"), []), "x", ["y"])
-    assert "no data" in empty
-    with pytest.raises(ValueError):
-        emit_svg(Table(("x", "y"), [("a", 1.0)]), "x", ["y"])
+    assert "polyline" in svg and ">demo</text>" in svg
+    # a missing column or a non-numeric cell raises where it is read
+    for table, x in ((t, "z"), (Table(("x", "y"), [("a", 1.0)]), "x")):
+        with pytest.raises(ValueError):
+            emit_svg(table, x, "y", "demo")
 
 
 def test_svg_log_axes():
     t = Table(("k", "dev"), [(10, 0.1), (100, 0.01), (1000, 0.001)])
-    svg = emit_svg(t, "k", ["dev"], logx=True, logy=True)
+    svg = emit_svg(t, "k", "dev", "deviation", logy=True)
     assert svg.count("polyline") == 1
+
+
+def test_infinite_twist_plot_pinned(tmp_path):
+    # the selftest digest covers only the weyl plot; this pins the linear-y plot
+    out = tmp_path / "out"
+    argv = ["twist", "infinite", "--profile", os.path.join(PROFILES, "cubic_singular.json"), "--imax", "4",
+            "--dmax", "8", "--out", str(out), "--format", "svg"]
+    assert main(argv) == 0
+    digest = hashlib.sha256((out / "infinite_twist.svg").read_bytes()).hexdigest()
+    assert digest == "4344c0dab6def62c4d00ffc7eb5251a3228ed1f3de49e590557253d485132aa0"
 
 
 def test_infinite_values_are_strict_json(capsys):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from echlab.twist import (
     constant_profile,
     hofer_norm_bound,
     linear_profile,
+    periodic_census,
     power_profile,
     profile_from_samples,
     truncate_profile,
@@ -293,6 +295,14 @@ def test_boundaries_and_reduction_match_the_splicing_and_bitmask_oracles(profile
         cx = build_complex(profile, d)
         assert cx.boundaries() == splice_boundaries(cx), d
         assert cx._reduce() == bitmask_essential(cx), d
+
+
+def test_census_float_slope_order_is_exact():
+    # the census sorts on the float p/q; distinct levels differ by at least 1/d^2
+    for f in CRITERION_10_PROFILES:
+        levels = periodic_census(f, 64)
+        exact = sorted(levels, key=lambda c: (Fraction(c.p, c.q), c.q), reverse=True)
+        assert len(levels) > 100 and [(c.p, c.q) for c in levels] == [(c.p, c.q) for c in exact], f.name
 
 
 def test_reduction_peak_memory():

@@ -1,5 +1,6 @@
 """The benchmark's workloads and traced run use echlab names that must keep
-existing, and its pinned selftest digest must hold."""
+existing, its pinned selftest digest must hold, and the CLI's verdicts must
+be checks that can fail."""
 
 import ast
 import hashlib
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+from echlab import cli
 from echlab.cli import RunConfig, run
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -96,3 +98,23 @@ def test_the_version_has_one_source():
     assert "version" not in project["project"]
     assert "version" in project["project"]["dynamic"]
     assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "echlab.__version__"}
+
+
+def test_command_verdicts_are_not_constants():
+    # a verdict whose pass flag is a literal checks nothing.  Selftest keeps its
+    # twist_complex_valid, as the benchmark pins its bundle; run's failed-check
+    # verdict is not a handler's and exists only when a check raised
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    handlers = {handler.__name__ for handler, _ in cli.COMMANDS.values()} - {"_selftest"}
+    seen, constant = set(), []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in handlers):
+            continue
+        seen.add(fn.name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_verdict":
+                if isinstance(node.args[1], ast.Constant):  # (name, passed, ...)
+                    constant.append(f"{fn.name}:{node.lineno}")
+    assert seen == handlers and len(handlers) == len(cli.COMMANDS) - 1
+    assert not constant, constant
