@@ -259,7 +259,6 @@ def _twist_axioms(cfg: RunConfig, bundle: ReportBundle):
         ["d", "bound", "difference", "slack"],
         [(r["d"], r["bound"], r["difference"], r["slack"]) for r in rep["hofer_lipschitz_rows"]],
     )
-    bundle.add_verdict("identity_axiom", rep["identity_ok"])
     if rep["monotonicity_applicable"]:
         bundle.add_verdict("monotonicity_axiom", bool(rep["monotonicity_ok"]))
     bundle.add_verdict("hofer_lipschitz_axiom", rep["hofer_lipschitz_ok"])
@@ -379,7 +378,7 @@ def _selftest(cfg: RunConfig, bundle: ReportBundle):
     _ellipsoid_return_map(RunConfig("ellipsoid.return-map", {"a": 1.0, "b": math.sqrt(2), "points": 25}, cfg.seed), bundle)
 
     # topology: the forced-cylinder conclusion
-    bundle.add_verdict("forced_cylinder", forced_topology(2, True, 3, 6) == {(0, 2)})
+    bundle.add_verdict("forced_cylinder", forced_topology(2, 3, 6) == {(0, 2)})
 
     # tower audit on a seeded random tower
     t = random_tower(rng, 200)

@@ -1,4 +1,4 @@
-"""Exact Reeb dynamics on ellipsoid boundaries and their action spectra.
+"""Reeb orbits on ellipsoid boundaries and their action spectra.
 
 The flow on the boundary of E(a,b) is linear in the two angle coordinates,
 so everything here is closed-form: no numerical integration enters except in
@@ -77,32 +77,6 @@ class Ellipsoid:
     @property
     def is_rational(self) -> bool:
         return self.ratio_rational is not None
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """A point on the boundary: two angles and the amplitude split mu.
-
-    mu is the fraction of the constraint carried by the first factor; the
-    state sits on a core circle exactly when mu is 0 or 1.
-    """
-
-    theta1: float
-    theta2: float
-    mu: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.mu <= 1.0):
-            raise ValueError("amplitude split must lie in [0, 1]")
-
-
-def reeb_flow(e: Ellipsoid, s: FlowState, t: float) -> FlowState:
-    """Time-t Reeb flow: each angle advances linearly, mu is preserved."""
-    return FlowState(
-        theta1=(s.theta1 + TWO_PI * t / e.a) % TWO_PI,
-        theta2=(s.theta2 + TWO_PI * t / e.b) % TWO_PI,
-        mu=s.mu,
-    )
 
 
 def simple_orbit_census(e: Ellipsoid, L: float) -> List[dict]:
@@ -212,7 +186,6 @@ def weyl_table(e: Ellipsoid, kmax: int, formal: bool = False) -> dict:
         "volume": v,
         "rows": rows,
         "final_decade_max_deviation": max(dev[max(1, kmax // 10) - 1 :]),
-        "kmax": kmax,
     }
 
 
@@ -294,7 +267,10 @@ def gss_return_map(e: Ellipsoid, point: Tuple[float, float]) -> Tuple[Tuple[floa
 
 
 def product_of_periods_check(e: Ellipsoid) -> dict:
-    """Two-orbit identity: the product of the two simple periods equals the volume."""
+    """Two-orbit identity: the product of the two simple periods against ``volume``.
+
+    ``volume`` is a*b too, so ``ok`` holds by construction; selftest's pinned ``product_of_periods`` reads it.
+    """
     if e.is_rational:
         raise ValueError("not a two-orbit flow")
     prod = e.a * e.b

@@ -61,9 +61,8 @@ class SimpleOrbit:
 
     The model convention ties the type to the rotation number: positive
     hyperbolic at integral theta, negative hyperbolic at half-integral theta,
-    elliptic otherwise.  ``period`` is the orbit's period count used by the
-    mapping-torus degree; it defaults to 1 and is ignored in the abstract
-    setting.  ``cover(m)`` memoises ``cover_indices(theta, m)`` per m.
+    elliptic otherwise.  ``period`` is wire-format data that no index reads.
+    ``cover(m)`` memoises ``cover_indices(theta, m)`` per m.
     """
 
     label: str
@@ -178,12 +177,6 @@ class OrbitSet:
             return NotImplemented
         return [(o.label, m) for o, m in self._items] == [(o.label, m) for o, m in other._items]
 
-    def degree(self, mapping_torus: bool = False) -> int:
-        """Sum of multiplicities, weighted by orbit periods in the mapping-torus setting."""
-        if mapping_torus:
-            return sum(o.period * m for o, m in self._items)
-        return sum(m for _, m in self._items)
-
 
 def is_ech_generator(alpha: OrbitSet) -> bool:
     """True iff every hyperbolic entry has multiplicity 1."""
@@ -290,25 +283,17 @@ def ech_index_from_j0(c: CurveData) -> int:
     return c.j0 + 2 * c.c_tau + c.alpha.cz_top - c.beta.cz_top
 
 
-def forced_topology(j0: int, full_coverage: bool, max_genus: int = 3, max_ends: int = 6):
-    """Solve -2 + 2g + e = j0 for small (genus, end count) data.
+def forced_topology(j0: int, max_genus: int = 3, max_ends: int = 6):
+    """Solve -2 + 2g + 2E = j0 for small (genus, end count) pairs (g, E).
 
-    With full trivial-cylinder coverage, e = 2E and the solutions are pairs
-    (g, E); a curve between nonempty orbit sets needs at least one end of
-    each sign, so E >= 2.  Without full coverage the number A of C1-end
-    orbits lacking C0 enters as e = 2E - A, and triples (g, E, A) are
-    returned.
+    Trivial cylinders cover every C1-end orbit, so e = 2E; a curve between
+    nonempty orbit sets has an end of each sign, so E >= 2.
     """
     out = set()
     for g in range(0, max_genus + 1):
         for ends in range(2, max_ends + 1):
-            if full_coverage:
-                if -2 + 2 * g + 2 * ends == j0:
-                    out.add((g, ends))
-            else:
-                for absent in range(0, ends + 1):
-                    if -2 + 2 * g + 2 * ends - absent == j0:
-                        out.add((g, ends, absent))
+            if -2 + 2 * g + 2 * ends == j0:
+                out.add((g, ends))
     return out
 
 

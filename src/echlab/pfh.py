@@ -486,9 +486,7 @@ def infinite_twist_experiment(profile: TwistProfile, imax: int = 20, dmax: int =
     )
 
     return {
-        "ds": ds,
         "rows": rows,
-        "full_twist_cd": cd_full,
         "calabi_strictly_increasing": cal_increasing,
         "calabi_max": cals[-1],
         "monotone_chain_ok": chain_ok,

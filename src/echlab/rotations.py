@@ -229,8 +229,6 @@ def partition_properties(theta, m: int) -> dict:
     small = m * a < 2 * q or m * (q - a) < 2 * q
     item3 = (len(pp) + len(pn) > 3 or small) if top_nondegenerate else None
     return {
-        "theta": rot,
-        "m": m,
         "p_plus": pp,
         "p_minus": pn,
         "reversal_applicable": covers_nondegenerate,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .orbits import StructuralError, _array, _is_int, _number, _record
 
@@ -195,18 +195,6 @@ class TwistProfile:
         return self._moment(0.0, 2)
 
     # -- transforms -----------------------------------------------------------
-
-    def __add__(self, other: "TwistProfile") -> "TwistProfile":
-        cuts = sorted({s.lo for s in self.segments + other.segments} | {1.0})
-        segs = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            terms: Dict[int, float] = {}
-            for seg in (self._segment_at(mid), other._segment_at(mid)):
-                for c, k in seg.terms:
-                    terms[k] = terms.get(k, 0.0) + c
-            segs.append(Segment(lo, hi, tuple((c, k) for k, c in sorted(terms.items()))))
-        return TwistProfile(segs, name=f"{self.name}+{other.name}")
 
     def scaled(self, factor: float) -> "TwistProfile":
         segs = [Segment(s.lo, s.hi, tuple((c * factor, k) for c, k in s.terms)) for s in self.segments]

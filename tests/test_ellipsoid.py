@@ -14,12 +14,10 @@ from echlab.cli import RunConfig, run
 from echlab.ellipsoid import (
     SPECTRUM_CAP,
     Ellipsoid,
-    FlowState,
     ResourceCapError,
     _gauss_legendre,
     gss_return_map,
     product_of_periods_check,
-    reeb_flow,
     simple_orbit_census,
     spectrum_values,
     volume,
@@ -92,30 +90,6 @@ def test_rationality_gate_is_symmetric_and_scale_free():
     for _ in range(2000):
         a, b = rng.uniform(0.05, 20), rng.uniform(0.05, 20) * 10 ** rng.uniform(-3, 3)
         assert Ellipsoid(a, b).is_rational == Ellipsoid(b, a).is_rational, (a, b)
-
-
-def test_flow_identity_and_substitution():
-    e = Ellipsoid(2.0, 3.0)
-    s = FlowState(0.5, 1.25, 0.3)
-    assert reeb_flow(e, s, 0.0) == s
-    moved = reeb_flow(e, s, 2.0)  # t = a: first angle returns
-    assert abs(moved.theta1 - s.theta1) < 1e-12
-    assert abs(moved.theta2 - (s.theta2 + TWO_PI * 2 / 3) % TWO_PI) < 1e-12
-
-
-def test_flow_round_sphere_period_one():
-    e = Ellipsoid(1.0, 1.0)
-    s = FlowState(1.0, 2.0, 0.7)
-    back = reeb_flow(e, s, 1.0)
-    assert abs(back.theta1 - s.theta1) < 1e-12 and abs(back.theta2 - s.theta2) < 1e-12
-
-
-def test_flow_group_law():
-    e = Ellipsoid(1.0, SQRT2)
-    s = FlowState(0.1, 0.2, 0.5)
-    one = reeb_flow(e, s, 0.7 + 1.9)
-    two = reeb_flow(e, reeb_flow(e, s, 0.7), 1.9)
-    assert abs(one.theta1 - two.theta1) < 1e-12 and abs(one.theta2 - two.theta2) < 1e-12
 
 
 def test_census_irrational_two_orbits():

@@ -41,8 +41,8 @@ from echlab.rotations import DegenerateRotationError, Rotation
 from echlab.sampling import POOL_SIZE, random_tower
 
 
-def orb(label, action, num, den=1, kind=ELLIPTIC, period=1):
-    return SimpleOrbit(label, Fraction(action), Rotation.rational(num, den), kind, period)
+def orb(label, action, num, den=1, kind=ELLIPTIC):
+    return SimpleOrbit(label, Fraction(action), Rotation.rational(num, den), kind)
 
 
 GAMMA_A = orb("a", 5, 1, 5)
@@ -79,13 +79,6 @@ def test_cz_top_examples():
     assert OrbitSet().cz_top == 0
     assert OrbitSet([(GAMMA_A, 4)]).cz_top == 1
     assert OrbitSet([(GAMMA_A, 4), (GAMMA_B, 2)]).cz_top == 4
-
-
-def test_degree_contexts():
-    fast = orb("f", 1, 1, 3, period=3)
-    s = OrbitSet([(fast, 2), (GAMMA_A, 1)])
-    assert s.degree() == 3
-    assert s.degree(mapping_torus=True) == 7
 
 
 def cylinder(alpha_orbit, beta_orbit, alpha_mult=1, beta_mult=1, c0=False, genus=0, c_tau=0):
@@ -167,10 +160,9 @@ def test_ech_index_examples():
 
 
 def test_forced_topology():
-    assert forced_topology(2, True) == {(0, 2)}
-    assert forced_topology(0, True) == set()
-    assert sorted(forced_topology(4, True)) == [(0, 3), (1, 2)]
-    assert (0, 2, 2) in forced_topology(0, False)
+    assert forced_topology(2) == {(0, 2)}
+    assert forced_topology(0) == set()
+    assert sorted(forced_topology(4)) == [(0, 3), (1, 2)]
 
 
 def test_component_classification_examples():

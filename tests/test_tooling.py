@@ -1,6 +1,6 @@
 """The benchmark's workloads and traced run use echlab names that must keep
-existing, its pinned selftest digest must hold, and the CLI's verdicts must
-be checks that can fail."""
+existing, its pinned selftest digest must hold, the CLI's verdicts must be
+checks that can fail, and every public name must have a reader."""
 
 import ast
 import hashlib
@@ -118,3 +118,39 @@ def test_command_verdicts_are_not_constants():
                     constant.append(f"{fn.name}:{node.lineno}")
     assert seen == handlers and len(handlers) == len(cli.COMMANDS) - 1
     assert not constant, constant
+
+
+# public names read only by tests, each with the test that builds a fixture from it
+READ_BY_TESTS_ONLY = {
+    "orbit_set_to_json": "tests/test_cli.py::test_score_and_tower_commands",
+    "curve_to_json": "tests/test_cli.py::test_score_and_tower_commands",
+    "power_profile": "tests/test_pfh.py::test_infinite_twist_experiment_structure",
+}
+
+
+def test_public_names_have_a_reader():
+    # a public top-level function or class of src/echlab that neither echlab
+    # nor perfbench reads, and no listed test needs, is dead surface
+    src = os.path.join(ROOT, "src", "echlab")
+    modules = [os.path.join(src, name) for name in sorted(os.listdir(src)) if name.endswith(".py")]
+    modules += [os.path.join(PERFBENCH, name) for name in sorted(os.listdir(PERFBENCH)) if name.endswith(".py")]
+    public, read = {}, set()
+    for path in modules:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        if os.path.dirname(path) == src:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                    public[node.name] = os.path.basename(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert {"tower_audit", "build_complex"} <= set(public)
+    unread = sorted(f"{module}:{name}" for name, module in public.items()
+                    if name not in read and name not in READ_BY_TESTS_ONLY)
+    assert not unread, unread
+    assert set(READ_BY_TESTS_ONLY) <= set(public) - read  # an entry that gains a reader leaves the list

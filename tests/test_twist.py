@@ -113,12 +113,6 @@ def test_calabi_self_check_holds_on_sampled_profiles(samples):
     assert calabi(f) == f.calabi_closed_form()
 
 
-def test_calabi_additivity():
-    f = linear_profile(3.0, support_end=0.8)
-    g = constant_profile(1.5, support_end=0.6)
-    assert abs(calabi(f + g) - calabi(f) - calabi(g)) < 1e-12
-
-
 def test_hofer_norm_bound():
     assert hofer_norm_bound(zero_profile()) == 0.0
     assert abs(hofer_norm_bound(constant_profile(2.0)) - 1.0) < 1e-12
@@ -146,7 +140,7 @@ def test_monotonicity_certificate():
         {"lo": 0.9, "hi": 1.0, "terms": [[0.0, 0]]}]}), id="from_json"),
 ])
 def test_every_constructor_certifies(build):
-    # zero_profile takes no twist, and truncate_profile and + keep a certified
+    # zero_profile takes no twist, and truncate_profile keeps a certified
     # profile non-increasing; every other way in must refuse a negative,
     # increasing or undefined (NaN) twist
     with pytest.raises(MonotonicityError):
