@@ -70,7 +70,7 @@ class RunConfig:
 
 
 def parse_number(text: str) -> float:
-    """Accept plain floats, fractions 'p/q', 'sqrtN', 'pi', and 'golden'."""
+    """Accept plain floats, fractions 'p/q', 'sqrtN', 'pi', 'golden' and 'e'."""
     text = text.strip()
     named = {"pi": math.pi, "golden": (1 + math.sqrt(5)) / 2, "e": math.e}
     if text in named:
@@ -78,19 +78,15 @@ def parse_number(text: str) -> float:
     if text.startswith("sqrt"):
         value = math.sqrt(float(text[4:]))
     elif "/" in text:
-        return _parse_fraction(text)
+        num, den = text.split("/")
+        if int(den) == 0:
+            raise UsageError(f"zero denominator in {text!r}")
+        return Fraction(int(num), int(den))
     else:
         value = float(text)
     if not math.isfinite(value):
         raise UsageError(f"non-finite number {text!r}")
     return value
-
-
-def _parse_fraction(text: str) -> Fraction:
-    num, den = text.split("/")
-    if int(den) == 0:
-        raise UsageError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den))
 
 
 def parse_rotation(text: str) -> Rotation:
@@ -101,9 +97,13 @@ def parse_rotation(text: str) -> Rotation:
         return Rotation.coerce(parse_number(text))
 
 
-def _load_profile(path: str) -> twist.TwistProfile:
+def _read_json(path: str):
     with open(path) as fh:
-        return twist.TwistProfile.from_json(json.load(fh))
+        return json.load(fh)
+
+
+def _load_profile(path: str) -> twist.TwistProfile:
+    return twist.TwistProfile.from_json(_read_json(path))
 
 
 # -- command implementations ------------------------------------------------
@@ -118,7 +118,8 @@ def run(config: RunConfig) -> ReportBundle:
     defaults = {name: default for name, _, default in flags if default is not _REQUIRED}
     config = replace(config, params={**defaults, **config.params})
     recorded = {k: v for k, v in config.params.items() if v is not None}  # an unset optional flag is left out
-    bundle = ReportBundle(manifest=base_manifest({"command": config.command, **recorded, "seed": config.seed}))
+    manifest = base_manifest({"command": config.command, **recorded, "seed": config.seed}, twist.CALIBRATION)
+    bundle = ReportBundle(manifest=manifest)
     try:
         handler(config, bundle)
     except (pfh.CalibrationError, twist.FubiniCheckError) as ex:
@@ -176,6 +177,8 @@ def _ellipsoid_weyl(cfg: RunConfig, bundle: ReportBundle):
 def _ellipsoid_return_map(cfg: RunConfig, bundle: ReportBundle):
     e = el.Ellipsoid(cfg.params["a"], cfg.params["b"])
     n = cfg.params["points"]
+    if n < 1:
+        raise UsageError(f"return-map points must be at least 1, got {n}")
     rng = random.Random(cfg.seed)
     expected = (2 * math.pi * e.a / e.b) % (2 * math.pi)
     rows = []
@@ -296,8 +299,7 @@ def _partitions(cfg: RunConfig, bundle: ReportBundle):
 
 
 def _score(cfg: RunConfig, bundle: ReportBundle):
-    with open(cfg.params["input"]) as fh:
-        doc = json.load(fh)
+    doc = _read_json(cfg.params["input"])
     if isinstance(doc, dict) and "genus" in doc:
         curve = curve_from_json(doc)
         bundle.add_table(
@@ -316,8 +318,7 @@ def _score(cfg: RunConfig, bundle: ReportBundle):
 
 
 def _tower(cfg: RunConfig, bundle: ReportBundle):
-    with open(cfg.params["input"]) as fh:
-        t = tower_from_json(json.load(fh))
+    t = tower_from_json(_read_json(cfg.params["input"]))
     rep = tower_audit(t, cfg.params["threshold"])
     bundle.add_table(
         "tower_audit",
@@ -467,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_flags(path: str) -> list:
     """A --config file's JSON object as flags: a true key --key, any other --key=value."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise UsageError(f"--config must hold a JSON object, got {type(doc).__name__}")
     return [f"--{key}" if value is True else f"--{key}={value}" for key, value in doc.items()]

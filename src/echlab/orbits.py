@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from .reporting import StructuralError, is_json_int, json_array, json_field, json_record
 from .rotations import (
     Rotation,
     cz_index,
@@ -22,10 +23,6 @@ ELLIPTIC = "elliptic"
 POSITIVE_HYPERBOLIC = "positive-hyperbolic"
 NEGATIVE_HYPERBOLIC = "negative-hyperbolic"
 KINDS = (ELLIPTIC, POSITIVE_HYPERBOLIC, NEGATIVE_HYPERBOLIC)
-
-
-class StructuralError(ValueError):
-    """Malformed orbit-set / curve / tower data."""
 
 
 class Cover(NamedTuple):
@@ -403,71 +400,11 @@ def tower_audit(t: Tower, action_threshold) -> dict:
 # tower: {"orbits": [orbit...], "curves": [curve...]} with per-curve entries lists.
 
 
-class _Record(dict):
-    """A JSON object read as a ``what``: reading a field it lacks is a StructuralError."""
-
-    def __init__(self, d: dict, what: str):
-        super().__init__(d)
-        self.what = what
-
-    def __missing__(self, key):
-        raise StructuralError(f"{self.what} has no {key!r} field")
-
-
-def _record(d, what: str) -> _Record:
-    """d as a _Record when it is a JSON object; a StructuralError otherwise."""
-    if not isinstance(d, dict):
-        raise StructuralError(f"{what} must be a JSON object, got {type(d).__name__}")
-    return _Record(d, what)
-
-
-def _array(d: _Record, key: str, optional: bool = False) -> list:
-    """d[key] when it is a JSON array (absent and optional: empty); a StructuralError otherwise."""
-    v = d.get(key, []) if optional else d[key]
-    if not isinstance(v, list):
-        raise StructuralError(f"{key} must be a JSON array, got {type(v).__name__}")
-    return v
-
-
-def _is_int(v) -> bool:
-    """Whether v is a JSON integer (true and false are not)."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _integer(v, key: str) -> int:
-    """v, the value of field ``key``, when it is a JSON integer; a StructuralError otherwise."""
-    if not _is_int(v):
-        raise StructuralError(f"{key} must be an integer, got {v!r}")
-    return v
-
-
-def _number(v, key: str) -> float:
-    """v, the value of field ``key``, as a float when it is a finite JSON number; a StructuralError
-    otherwise, or an OverflowError for an integer beyond the float range."""
-    if not ((_is_int(v) or isinstance(v, float)) and math.isfinite(v)):
-        raise StructuralError(f"{key} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _string(v, key: str) -> str:
-    """v, the value of field ``key``, when it is a JSON string; a StructuralError otherwise."""
-    if not isinstance(v, str):
-        raise StructuralError(f"{key} must be a string, got {v!r}")
-    return v
-
-
-def _boolean(v, key: str) -> bool:
-    """v, the value of field ``key``, when it is a JSON boolean; a StructuralError otherwise."""
-    if not isinstance(v, bool):
-        raise StructuralError(f"{key} must be a boolean, got {v!r}")
-    return v
-
-
-def _orbit_set(d: _Record, key: str, pool: Dict[str, SimpleOrbit]) -> OrbitSet:
+def _orbit_set(d: dict, key: str, pool: Dict[str, SimpleOrbit]) -> OrbitSet:
     """The orbit set of d[key], a JSON array of [label, multiplicity] pairs over the orbits of ``pool``."""
     entries = []
-    for e in _array(d, key):
-        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and _is_int(e[1])):
+    for e in json_array(d, key):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and is_json_int(e[1])):
             raise StructuralError(f"{key} entry must be a [label, multiplicity] pair, got {e!r}")
         if e[0] not in pool:
             raise StructuralError(f"unknown orbit label {e[0]!r}")
@@ -475,19 +412,15 @@ def _orbit_set(d: _Record, key: str, pool: Dict[str, SimpleOrbit]) -> OrbitSet:
     return OrbitSet(entries)
 
 
-def _fraction_from_json(v: list) -> Fraction:
-    if not (len(v) == 2 and _is_int(v[0]) and _is_int(v[1])):
+def _num_from_json(v, key: str):
+    """A [numerator, denominator] pair of integers as a Fraction, a finite number as a float."""
+    if not isinstance(v, list):
+        return json_field(v, key, float)
+    if not (len(v) == 2 and is_json_int(v[0]) and is_json_int(v[1])):
         raise StructuralError(f"fraction must be a [numerator, denominator] pair of integers, got {v!r}")
     if v[1] == 0:
         raise StructuralError(f"zero denominator in {v!r}")
     return Fraction(v[0], v[1])
-
-
-def _num_from_json(v, key: str):
-    """A [numerator, denominator] pair as a Fraction, a finite number as a float."""
-    if isinstance(v, list):
-        return _fraction_from_json(v)
-    return _number(v, key)
 
 
 def orbit_to_json(o: SimpleOrbit) -> dict:
@@ -502,21 +435,24 @@ def orbit_to_json(o: SimpleOrbit) -> dict:
 
 
 def orbit_from_json(d: dict) -> SimpleOrbit:
-    d = _record(d, "orbit record")
+    d = json_record(d, "orbit record")
     return SimpleOrbit(
-        label=_string(d["label"], "label"),
+        label=json_field(d["label"], "label", str),
         action=_num_from_json(d["action"], "action"),
         theta=Rotation.coerce(_num_from_json(d["theta"], "theta")),
         kind=d["kind"],
-        period=_integer(d.get("period", 1), "period"),
+        period=json_field(d.get("period", 1), "period", int),
     )
 
 
+def _orbits_to_json(entries: Iterable[Tuple[SimpleOrbit, int]]) -> list:
+    """The ``orbits`` list of a document: one record per label among the entries, sorted by label."""
+    labels = {o.label: o for o, _ in entries}
+    return [orbit_to_json(labels[k]) for k in sorted(labels)]
+
+
 def orbit_set_to_json(alpha: OrbitSet) -> dict:
-    return {
-        "orbits": [orbit_to_json(o) for o, _ in alpha.items()],
-        "entries": [[o.label, m] for o, m in alpha.items()],
-    }
+    return {"orbits": _orbits_to_json(alpha.items()), "entries": [[o.label, m] for o, m in alpha.items()]}
 
 
 def _orbit_pool(orbits: list, tower: Optional[Dict[str, SimpleOrbit]] = None) -> Dict[str, SimpleOrbit]:
@@ -536,8 +472,8 @@ def _orbit_pool(orbits: list, tower: Optional[Dict[str, SimpleOrbit]] = None) ->
 
 
 def orbit_set_from_json(d: dict) -> OrbitSet:
-    d = _record(d, "orbit-set document")
-    return _orbit_set(d, "entries", _orbit_pool(_array(d, "orbits")))
+    d = json_record(d, "orbit-set document")
+    return _orbit_set(d, "entries", _orbit_pool(json_array(d, "orbits")))
 
 
 def _ends_to_json(side: Tuple[CurveEnds, ...]) -> list:
@@ -558,38 +494,36 @@ def _curve_body(c: CurveData) -> dict:
 
 
 def curve_to_json(c: CurveData) -> dict:
-    labels = {o.label: o for o, _ in c.alpha.items() + c.beta.items()}
-    return {"orbits": [orbit_to_json(labels[k]) for k in sorted(labels)], **_curve_body(c)}
+    return {"orbits": _orbits_to_json(c.alpha.items() + c.beta.items()), **_curve_body(c)}
 
 
 def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> CurveData:
-    d = _record(d, "curve record")
-    own = _array(d, "orbits", optional=True)
+    d = json_record(d, "curve record")
+    own = json_array(d, "orbits", optional=True)
     local = _orbit_pool(own, pool) if own else pool or {}
 
     def ends(key):
-        records = [_record(e, "ends record") for e in _array(d, key, optional=True)]
-        return tuple(CurveEnds(_string(e["orbit"], "orbit"),
-                               tuple(_integer(m, "multiplicities") for m in _array(e, "multiplicities")),
-                               _boolean(e["c0"], "c0")) for e in records)
+        records = [json_record(e, "ends record") for e in json_array(d, key, optional=True)]
+        return tuple(CurveEnds(json_field(e["orbit"], "orbit", str),
+                               tuple(json_field(m, "multiplicities", int) for m in json_array(e, "multiplicities")),
+                               json_field(e["c0"], "c0", bool)) for e in records)
 
     return CurveData(
-        genus=_integer(d["genus"], "genus"),
+        genus=json_field(d["genus"], "genus", int),
         positive_ends=ends("positive_ends"),
         negative_ends=ends("negative_ends"),
         alpha=_orbit_set(d, "alpha", local),
         beta=_orbit_set(d, "beta", local),
-        c_tau=_integer(d.get("c_tau", 0), "c_tau"),
+        c_tau=json_field(d.get("c_tau", 0), "c_tau", int),
     )
 
 
 def tower_to_json(t: Tower) -> dict:
-    labels = {o.label: o for c in t.curves for o, _ in c.alpha.items() + c.beta.items()}
-    return {"orbits": [orbit_to_json(labels[k]) for k in sorted(labels)],
+    return {"orbits": _orbits_to_json(p for c in t.curves for p in c.alpha.items() + c.beta.items()),
             "curves": [_curve_body(c) for c in t.curves]}
 
 
 def tower_from_json(d: dict) -> Tower:
-    d = _record(d, "tower document")
-    pool = _orbit_pool(_array(d, "orbits"))
-    return Tower([curve_from_json(c, pool) for c in _array(d, "curves")])
+    d = json_record(d, "tower document")
+    pool = _orbit_pool(json_array(d, "orbits"))
+    return Tower([curve_from_json(c, pool) for c in json_array(d, "curves")])

@@ -88,8 +88,6 @@ class TwistComplex:
     """
 
     def __init__(self, profile: TwistProfile, degree: int, generator_cap: int = GENERATOR_CAP):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
         self.profile = profile
         self.degree = degree
         self.levels = periodic_census(profile, degree)  # sorted slope descending

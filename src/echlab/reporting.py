@@ -1,8 +1,10 @@
-"""Report bundles: named tables, verdicts, plots, and the run manifest.
+"""Report bundles, the run manifest, and the typed field checks of JSON input.
 
 Output is byte-deterministic for a fixed RunConfig: tables use repr-exact
 floats with '.' decimals and fixed column order, JSON is sorted and
-indented, and nothing records wall-clock time.
+indented, and nothing records wall-clock time.  This module imports no
+other echlab module, so the orbit and the twist readers share its checks
+without loading each other.
 """
 
 from __future__ import annotations
@@ -15,7 +17,56 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .twist import CALIBRATION
+
+
+class StructuralError(ValueError):
+    """Malformed input data: a JSON document, or an orbit set, curve or tower."""
+
+
+class _Record(dict):
+    """A JSON object read as a ``what``: reading a field it lacks is a StructuralError."""
+
+    def __init__(self, d: dict, what: str):
+        super().__init__(d)
+        self.what = what
+
+    def __missing__(self, key):
+        raise StructuralError(f"{self.what} has no {key!r} field")
+
+
+def json_record(d, what: str) -> dict:
+    """d as a record that names ``what`` when a field is missing; a StructuralError unless d is a JSON object."""
+    if not isinstance(d, dict):
+        raise StructuralError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return _Record(d, what)
+
+
+def json_array(d: dict, key: str, optional: bool = False) -> list:
+    """d[key] when it is a JSON array (absent and optional: empty); a StructuralError otherwise."""
+    v = d.get(key, []) if optional else d[key]
+    if not isinstance(v, list):
+        raise StructuralError(f"{key} must be a JSON array, got {type(v).__name__}")
+    return v
+
+
+def is_json_int(v) -> bool:
+    """Whether v is a JSON integer (true and false are not)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean"}
+
+
+def json_field(v, key: str, kind: type):
+    """v, the value of field ``key``, when it is a JSON ``kind``: int (true and false are not), str, bool,
+    or float (any finite number, returned as a float; an integer beyond the float range raises
+    OverflowError).  A StructuralError otherwise."""
+    if kind is float:
+        if (is_json_int(v) or isinstance(v, float)) and math.isfinite(v):
+            return float(v)
+    elif is_json_int(v) if kind is int else isinstance(v, kind):
+        return v
+    raise StructuralError(f"{key} must be {_KIND_NAMES[kind]}, got {v!r}")
 
 
 @dataclass
@@ -101,9 +152,9 @@ class ReportBundle:
         return written
 
 
-def base_manifest(config: dict) -> dict:
+def base_manifest(config: dict, calibration: dict) -> dict:
     return {
         "version": __version__,
-        "calibration": dict(CALIBRATION),
+        "calibration": dict(calibration),
         "config": _jsonable(config),
     }

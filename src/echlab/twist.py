@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .orbits import StructuralError, _array, _is_int, _number, _record
+from .reporting import StructuralError, is_json_int, json_array, json_field, json_record
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,19 +215,19 @@ class TwistProfile:
     @staticmethod
     def from_json(d: dict) -> "TwistProfile":
         """The profile of a JSON document; a malformed one raises StructuralError."""
-        d = _record(d, "profile document")
+        d = json_record(d, "profile document")
         if d.get("type") == "samples":
-            r, f = ([_number(x, key) for x in _array(d, key)] for key in ("r", "f"))
+            r, f = ([json_field(x, key, float) for x in json_array(d, key)] for key in ("r", "f"))
             return profile_from_samples(r, f, name=d.get("name", "samples"))
         segs = []
-        for s in _array(d, "segments"):
-            s = _record(s, "segment record")
-            terms = _array(s, "terms")
+        for s in json_array(d, "segments"):
+            s = json_record(s, "segment record")
+            terms = json_array(s, "terms")
             for t in terms:
-                if not (isinstance(t, list) and len(t) == 2 and _is_int(t[1])):
+                if not (isinstance(t, list) and len(t) == 2 and is_json_int(t[1])):
                     raise StructuralError(f"terms entry must be a [coefficient, integer exponent] pair, got {t!r}")
-            segs.append(Segment(_number(s["lo"], "lo"), _number(s["hi"], "hi"),
-                                tuple((_number(c, "coefficient"), k) for c, k in terms)))
+            segs.append(Segment(json_field(s["lo"], "lo", float), json_field(s["hi"], "hi", float),
+                                tuple((json_field(c, "coefficient", float), k) for c, k in terms)))
         return TwistProfile(segs, name=d.get("name", "profile"))
 
 
@@ -376,10 +376,12 @@ def _solve_level(f: TwistProfile, target: float) -> Optional[float]:
 def periodic_census(f: TwistProfile, d: int) -> List[PeriodicCircle]:
     """All level circles f(r) = 2 pi p/q with q <= d, solved by bisection.
 
-    Requires the rotation at the center to be finite (truncate divergent
+    Requires d >= 1 and a finite rotation at the center (truncate divergent
     profiles first).  Plateaus at a requested rational level raise
     PlateauError with the offending interval.
     """
+    if d < 1:
+        raise ValueError("degree must be >= 1")
     top = f.value_at_center()
     if math.isinf(top):
         raise ValueError("unbounded twist at the center; truncate the profile first")

@@ -169,6 +169,23 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["twist", "census", "--profile", os.path.join(PROFILES, "linear_cal.json"), "--d", "0"],
+     "error: degree must be >= 1\n"),
+    (["twist", "census", "--profile", os.path.join(PROFILES, "linear_cal.json"), "--d", "-2"],
+     "error: degree must be >= 1\n"),
+    (["ellipsoid", "return-map", "--a", "1", "--b", "sqrt2", "--points", "0"],
+     "error: return-map points must be at least 1, got 0\n"),
+    (["ellipsoid", "return-map", "--a", "1", "--b", "sqrt2", "--points", "-3"],
+     "error: return-map points must be at least 1, got -3\n"),
+], ids=["census-d0", "census-d-2", "return-map-points0", "return-map-points-3"])
+def test_a_count_below_1_exits_2(argv, message, capsys):
+    # an empty census or return map would pass its verdict vacuously
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
 def test_module_entry_point():
     # python -m echlab runs cli.main and exits with its code; a refused input is one error line
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

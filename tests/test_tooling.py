@@ -1,6 +1,7 @@
 """The benchmark's workloads and traced run use echlab names that must keep
 existing, its pinned selftest digest must hold, the CLI's verdicts must be
-checks that can fail, and every public name must have a reader."""
+checks that can fail, every public name must have a reader, and the two
+strands of the library load apart from each other."""
 
 import ast
 import hashlib
@@ -154,3 +155,56 @@ def test_public_names_have_a_reader():
                     if name not in read and name not in READ_BY_TESTS_ONLY)
     assert not unread, unread
     assert set(READ_BY_TESTS_ONLY) <= set(public) - read  # an entry that gains a reader leaves the list
+
+
+@pytest.mark.parametrize("module, banned", [
+    ("reporting", None),  # a leaf: it loads no other echlab module
+    ("twist", {"echlab.orbits", "echlab.rotations"}),
+    ("pfh", {"echlab.orbits", "echlab.rotations"}),
+], ids=["reporting", "twist", "pfh"])
+def test_the_twist_strand_loads_apart_from_the_orbit_strand(module, banned):
+    # the disk-twist / PFH modules share only the JSON field checks with the
+    # Reeb-orbit modules, and those live in reporting, which imports neither
+    src = os.path.join(ROOT, "src")
+    code = (
+        "import importlib, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        f"importlib.import_module('echlab.{module}')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('echlab.'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert f"echlab.{module}" in loaded
+    if banned is None:
+        assert loaded == {f"echlab.{module}"}, loaded
+    else:
+        assert not loaded & banned, loaded
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private helper is its module's own; one that another module needs is
+    # public API and gets a public name (tests, and tests/oracles.py, may
+    # reach into private names)
+    src = os.path.join(ROOT, "src", "echlab")
+    modules = {name[:-3] for name in os.listdir(src) if name.endswith(".py")}
+    private = []
+    for name in sorted(modules):
+        with open(os.path.join(src, f"{name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        aliases = {}  # local name -> echlab module, from "from . import twist as tw"
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("echlab"):
+                continue
+            package = node.module in (None, "echlab")  # "from . import twist", "from echlab import twist"
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    private.append(f"{name}: from {node.module or '.'} import {alias.name}")
+                if package and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__")
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                private.append(f"{name}: {node.value.id}.{node.attr}")
+    assert not private, private

@@ -184,6 +184,14 @@ def test_census_divergent_center_rejected():
         periodic_census(power_profile(-3), 3)
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_census_degree_below_1_rejected(d):
+    # no degree below 1 has levels, so an empty census would be vacuous, not a result
+    for f in (linear_profile(TWO_PI * 1.5, support_end=0.9), power_profile(-3)):
+        with pytest.raises(ValueError, match="^degree must be >= 1$"):
+            periodic_census(f, d)
+
+
 def test_level_action_against_flow_quadrature():
     # independent oracle: q * H(r) by time integration plus p * swept area
     f = linear_profile(TWO_PI * 1.2, support_end=0.95)
