@@ -127,10 +127,12 @@ def spectrum_values(
 
     Provide a finite action bound L or an entry count of at most ``cap``.  Row n
     starts at b plus the value of (0, n-1) and adds a repeatedly (a heap's float
-    sums); rows cut at the bound are pooled and sorted.  A count's bound is the
-    Weyl estimate sqrt(2ab count) + a + b, grown by half until it suffices, and
-    row n keeps count - n entries, as m + n tuples precede (m, n).  Coinciding
-    values of a rational aspect ratio are rejected unless ``formal`` is set.
+    sums); rows cut at the bound are pooled and sorted.  A count's bound is
+    sqrt(2ab count) + a + b: the unit squares at the lattice points with
+    m*a + n*b <= L cover the triangle a*x + b*y <= L, x, y >= 0, of area
+    L^2 / (2ab), so it holds count values.  Row n keeps count - n entries,
+    as m + n tuples precede (m, n).  Coinciding values of a rational aspect
+    ratio are rejected unless ``formal`` is set.
     """
     if (L is None) == (count is None):
         raise ValueError("provide exactly one of L or count")
@@ -144,22 +146,18 @@ def spectrum_values(
     a, b = e.a, e.b
     big = math.nextafter(math.inf, 0.0)  # a count's bound stays finite, so rows end before overflow
     bound = L * (1 + 1e-15) if count is None else min(math.sqrt(2.0 * count * a) * math.sqrt(b) + a + b, big)
-    while True:
-        out, v0, n = [], 0.0, 0
-        while v0 <= bound and (count is None or n < count):
-            width = cap + 1 - len(out) if count is None else count - n  # at most one past the cap
-            row = list(accumulate(repeat(a, int(min(width - 1, (bound - v0) / a + 1))), initial=v0))
-            while len(row) < width and row[-1] <= bound:
-                row.append(row[-1] + a)
-            out += zip(row, range(bisect_right(row, bound)), repeat(n))
-            if count is None and len(out) > cap:
-                raise ResourceCapError(f"spectrum entry cap {cap} exceeded")
-            v0, n = v0 + b, n + 1
-        if count is None or len(out) >= count:
-            break
-        if bound == big:
-            raise OverflowError("spectrum values overflow a float")
-        bound = min(1.5 * bound, big)
+    out, v0, n = [], 0.0, 0
+    while v0 <= bound and (count is None or n < count):
+        width = cap + 1 - len(out) if count is None else count - n  # at most one past the cap
+        row = list(accumulate(repeat(a, int(min(width - 1, (bound - v0) / a + 1))), initial=v0))
+        while len(row) < width and row[-1] <= bound:
+            row.append(row[-1] + a)
+        out += zip(row, range(bisect_right(row, bound)), repeat(n))
+        if count is None and len(out) > cap:
+            raise ResourceCapError(f"spectrum entry cap {cap} exceeded")
+        v0, n = v0 + b, n + 1
+    if count is not None and len(out) < count:  # only a bound cut at the largest float falls short
+        raise OverflowError("spectrum values overflow a float")
     out.sort()
     if count is not None:
         del out[count:]
@@ -264,21 +262,3 @@ def gss_return_map(e: Ellipsoid, point: Tuple[float, float]) -> Tuple[Tuple[floa
     if rotation == math.inf:
         raise ValueError("return-map rotation 2*pi*a/b overflows the float range")
     return (radius, (angle + math.fmod(rotation, TWO_PI)) % TWO_PI), e.a
-
-
-def product_of_periods_check(e: Ellipsoid) -> dict:
-    """Two-orbit identity: the product of the two simple periods against ``volume``.
-
-    ``volume`` is a*b too, so ``ok`` holds by construction; selftest's pinned ``product_of_periods`` reads it.
-    """
-    if e.is_rational:
-        raise ValueError("not a two-orbit flow")
-    prod = e.a * e.b
-    vol = volume(e)
-    diff = abs(prod - vol)
-    return {
-        "product_of_periods": prod,
-        "volume": vol,
-        "difference": diff,
-        "ok": diff <= 1e-12 * max(abs(prod), abs(vol)),
-    }

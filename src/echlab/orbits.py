@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .reporting import StructuralError, is_json_int, json_array, json_field, json_record
 from .rotations import (
@@ -102,7 +102,8 @@ class OrbitSet:
     LCM of the entry denominators, as every action is exact), ``cz_top``, the
     score ``score`` and ``k``.  The indices are defined for nondegenerate
     orbits only, so a real-lane orbit with a degenerate cover raises
-    DegenerateRotationError here.
+    DegenerateRotationError here.  Two sets are equal when their entries
+    are, orbit records included.
     """
 
     __slots__ = ("_items", "_action", "_cz_top", "_score", "_k")
@@ -172,7 +173,7 @@ class OrbitSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitSet):
             return NotImplemented
-        return [(o.label, m) for o, m in self._items] == [(o.label, m) for o, m in other._items]
+        return self._items == other._items
 
 
 def is_ech_generator(alpha: OrbitSet) -> bool:
@@ -309,13 +310,14 @@ def k_invariant(c: CurveData) -> int:
     return c.alpha.k - c.beta.k + 2 * (c.j0 - 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tower:
-    """A chained sequence of curves: curves[i].beta equals curves[i+1].alpha."""
+    """An immutable chain of curves: curves[i].beta equals curves[i+1].alpha, orbit records included."""
 
-    curves: List[CurveData]
+    curves: Tuple[CurveData, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "curves", tuple(self.curves))
         if not self.curves:
             raise StructuralError("a tower needs at least one curve")
         for i, (upper, lower) in enumerate(zip(self.curves, self.curves[1:])):

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .twist import (CALIBRATION, TwistProfile, calabi, disk_area_level, hofer_norm_bound, periodic_census,
-                    truncate_profile, zero_profile)
+                    plain_sum, truncate_profile, zero_profile)
 
 VALIDATE_MAX_DEGREE = 8  # spectral_invariant_cd validates the complex by default up to here
 GENERATOR_CAP = 200_000  # default bound on the generators one complex may enumerate
@@ -338,7 +338,7 @@ class TwistComplex:
 def radial_staircase_value(profile: TwistProfile, d: int) -> float:
     """Calibrated spectral value: sum of H at the d equispaced interior radii."""
     H = profile.hamiltonian
-    return sum(H(k / (d + 1.0)) for k in range(1, d + 1))
+    return plain_sum(H(k / (d + 1.0)) for k in range(1, d + 1))
 
 
 def build_complex(profile: TwistProfile, d: int, generator_cap: int = GENERATOR_CAP) -> TwistComplex:

@@ -34,6 +34,14 @@ _LEVEL_TOL = 1e-12  # bisection and plateau tolerance of the level solver
 _CERTIFY_SAMPLES = 64  # sample points per segment in the monotonicity certificate
 
 
+def plain_sum(values) -> float:
+    """The values added in order from 0, as sum() did before Python 3.12 compensated float sums."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _tanh_sinh_rule(step: float, t_max: float) -> Tuple[Tuple[float, float], ...]:
     """The tanh-sinh rule on [0, 1] as (gap, weight) pairs, each used at both ends.
 
@@ -79,14 +87,14 @@ class Segment:
     terms: Tuple[Tuple[float, int], ...]
 
     def value(self, s: float) -> float:
-        # a plain loop adds in the order sum() does, so the same IEEE value, without a generator
+        # plain_sum inline: this is on the census's bisection path
         v = 0
         for c, k in self.terms:
             v += c * s**k
         return v
 
     def derivative(self, s: float) -> float:
-        return sum(c * k * s ** (k - 1) for c, k in self.terms if k != 0)
+        return plain_sum(c * k * s ** (k - 1) for c, k in self.terms if k != 0)
 
     def is_constant(self) -> bool:
         return all(c == 0 or k == 0 for c, k in self.terms)
@@ -139,7 +147,7 @@ class TwistProfile:
                 # segment reaches 0 its value can come out slightly negative;
                 # the scale of that rounding is summed only for a value below 0,
                 # and a NaN value fails both tests
-                if not v >= 0.0 and not v >= -1e-12 * max(1.0, sum(abs(c) * s**k for c, k in seg.terms)):
+                if not v >= 0.0 and not v >= -1e-12 * max(1.0, plain_sum(abs(c) * s**k for c, k in seg.terms)):
                     raise MonotonicityError(f"negative twist angle {v} at r={s}")
                 if v > prev_val + 1e-9 * max(1.0, abs(prev_val)):
                     raise MonotonicityError(f"profile increases near r={s}")
@@ -164,7 +172,7 @@ class TwistProfile:
         first = self.segments[0]
         if first.diverges_at_zero(0):
             return math.inf
-        return sum(c for c, k in first.terms if k == 0 and c != 0)
+        return plain_sum(c for c, k in first.terms if k == 0 and c != 0)
 
     @property
     def support_flag(self) -> bool:

@@ -35,6 +35,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bogus-subcommand"]) == 2
     assert main([]) == 2
+    assert main(["--help"]) == 0 and capsys.readouterr().out.startswith("usage: echlab")
     assert main(["ellipsoid", "spectrum", "--a", "1e-20", "--b", "1", "--count", "3"]) == 0  # not the rational 0
 
 
@@ -136,6 +137,11 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
         (["ellipsoid", "census", "--a", "1", "--b", "2", "--L", "1e300"],
          "error: census would list more than 100000 torus families"),
         (["ellipsoid", "census", "--a", "1", "--b", "2", "--L=--"], "error: an option given as --flag=-- has no value"),
+        (["ellipsoid", "census", "--a", "1", "--b", "2", "--format=--"],
+         "error: an option given as --flag=-- has no value"),
+        (["ellipsoid", "identity-check", "--a", "1", "--b", "2"], "error: not a two-orbit flow"),
+        (["ellipsoid", "spectrum", "--a", "1e307", "--b", "1e307", "--count", "1000", "--formal"],
+         "error: spectrum values overflow a float"),
         (["twist", "infinite", "--profile", profile, "--imax", "0"], "error: truncation count imax must be >= 1, got 0"),
         (["ellipsoid", "census", "--a", "1", "--b", "sqrt2", "--L", "0"], "error: action bound must be positive"),
         (["ellipsoid", "weyl", "--a", "1", "--b", "sqrt2", "--kmax", "0"], "error: kmax must be >= 1"),
@@ -150,6 +156,7 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
         ({"a": "x"}, "echlab ellipsoid census: argument --a: invalid parse_number value: 'x'"),
         ({"L": math.inf}, "echlab ellipsoid census: argument --L: invalid parse_number value: 'inf'"),
         ({"tol": 0.1}, "echlab: unrecognized arguments: --tol=0.1"),
+        ({"L": "--"}, "an option given as --flag=-- has no value"),
         ({"m": 2.5}, "echlab: unrecognized arguments: --m=2.5"),
         ({"\n": None}, "echlab: unrecognized arguments: --\\n=None"),  # a newline in the input is escaped
     ]
@@ -520,14 +527,19 @@ def test_float_action_tower_telescopes_exactly(tmp_path, capsys):
 
     # the CLI's verdicts and exit code on the float document are those of its
     # exact twin (both exit 1: the random curves include zero-action
-    # non-cylinders of negative total score)
+    # non-cylinders of negative total score), and its table reads both
+    # identities as holding
     runs = []
     for name, d in (("exact", exact), ("float", doc)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(d))
         code = main(["tower", "--input", str(path)])
-        runs.append((code, json.loads(capsys.readouterr().out)["verdicts"]))
-    assert runs[1] == runs[0] and runs[1][1]["action_telescoping"]["pass"]
+        out = json.loads(capsys.readouterr().out)
+        runs.append((code, out["verdicts"]))
+    assert runs[1] == runs[0]
+    table = out["tables"]["tower_audit"]
+    assert table["columns"][1:3] == ["score_telescoping", "action_telescoping"]
+    assert table["rows"][0][1:3] == [True, True]
 
     # written back, a float action is its exact [num, 2^k] pair
     again = tower_to_json(tower_from_json(doc))
@@ -553,8 +565,9 @@ def test_high_action_budget_is_exact(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["tower", "--input", str(path), "--threshold", "0.3333333333333333"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
-    assert set(verdicts) == {"score_telescoping", "action_telescoping", "no_negative_low_action_noncylinder"}
+    assert set(verdicts) == {"no_negative_low_action_noncylinder"}
     rep = tower_audit(tower_from_json(doc), 0.3333333333333333)
+    assert rep["score_telescoping_ok"] and rep["action_telescoping_ok"]
     assert rep["high_action_count"] == 7 and rep["high_action_within_budget"]
     assert rep["high_action_budget"] < 7  # the float value, kept in the report
 

@@ -229,6 +229,23 @@ def test_tower_adjacency_enforced():
         Tower([cur1, cur2])
 
 
+def test_tower_refuses_adjacent_sets_that_share_labels_but_not_orbit_records():
+    # {a(5), b} -> {a(4)} then {a(5)} -> {b}: equal by label and multiplicity,
+    # so a label-only comparison accepts it and the audit reads lhs 6, rhs 5
+    a4 = orb("a", 4, 1, 5)
+    cur1 = CurveData(0, (CurveEnds("a", (1,), False),), (CurveEnds("a", (1,), False),),
+                     OrbitSet([(GAMMA_A, 1), (GAMMA_B, 1)]), OrbitSet([(a4, 1)]))
+    cur2 = CurveData(0, (CurveEnds("a", (1,), False),), (CurveEnds("b", (1,), False),),
+                     OrbitSet([(GAMMA_A, 1)]), OrbitSet([(GAMMA_B, 1)]))
+    assert OrbitSet([(a4, 1)]) != OrbitSet([(GAMMA_A, 1)])
+    with pytest.raises(StructuralError, match="tower adjacency fails between curves 0 and 1"):
+        Tower([cur1, cur2])
+    t = Tower([cur2])
+    assert t.curves == (cur2,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.curves = ()
+
+
 def test_tower_audit_exact_telescoping():
     rng = random.Random(42)
     t = random_tower(rng, 300)

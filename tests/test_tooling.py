@@ -1,13 +1,15 @@
 """The benchmark's workloads and traced run use echlab names that must keep
-existing, its pinned selftest digest must hold, the CLI's verdicts must be
-checks that can fail, every public name must have a reader, and the two
-strands of the library load apart from each other."""
+existing, its pinned selftest digest must hold on every supported Python,
+the CLI's verdicts must be checks that can fail, every public name must have
+a reader, and the two strands of the library load apart from each other."""
 
 import ast
+import glob
 import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -91,6 +93,43 @@ def test_selftest_bundle_matches_the_benchmark_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+def _other_interpreters() -> dict:
+    """Each Python 3.10-3.13 but this one that starts, by version: python3.1x on
+    PATH, or an install beside this interpreter's own."""
+    found = {}
+    for minor in range(10, 14):
+        if minor == sys.version_info.minor:
+            continue
+        name = f"python3.{minor}"
+        beside = glob.glob(os.path.join(os.path.dirname(sys.base_prefix), "*", "bin", name))
+        for exe in filter(None, [shutil.which(name), *sorted(beside)]):
+            probe = subprocess.run([exe, "-c", "import sys; print(sys.version.split()[0])"],
+                                   capture_output=True, text=True)
+            if probe.returncode == 0 and probe.stdout.startswith(f"3.{minor}."):
+                found[probe.stdout.strip()] = exe
+                break
+    return found
+
+
+def test_pins_are_the_same_bytes_on_every_interpreter_that_starts():
+    # float sum() is compensated from Python 3.12 on, and argparse reads
+    # "--flag=--" three ways across 3.10-3.13; echlab's output may depend on neither
+    others = _other_interpreters()
+    if not others:
+        pytest.skip("no other Python 3.10-3.13 interpreter starts here")
+    script = os.path.join(os.path.dirname(__file__), "interpreter_pins.py")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    this = sys.version.split()[0]
+    procs = {version: subprocess.Popen([exe, script], env=env, text=True,
+                                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for version, exe in {this: sys.executable, **others}.items()}
+    outputs = {version: proc.communicate() for version, proc in procs.items()}
+    want = outputs.pop(this)[0]
+    assert json.loads(want)["flag_error"] == "2 error: an option given as --flag=-- has no value\n"
+    for version, (out, err) in outputs.items():
+        assert out == want, (version, err)
+
+
 def test_the_version_has_one_source():
     # pyproject.toml reads the version from echlab.__version__, so a bump cannot leave a stale copy
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
@@ -103,8 +142,9 @@ def test_the_version_has_one_source():
 
 def test_command_verdicts_are_not_constants():
     # a verdict whose pass flag is a literal checks nothing.  Selftest keeps its
-    # twist_complex_valid, as the benchmark pins its bundle; run's failed-check
-    # verdict is not a handler's and exists only when a check raised
+    # two literals, twist_complex_valid and product_of_periods, as the benchmark
+    # pins its bundle; run's failed-check verdict is not a handler's and exists
+    # only when a check raised
     with open(cli.__file__) as fh:
         tree = ast.parse(fh.read())
     handlers = {handler.__name__ for handler, _ in cli.COMMANDS.values()} - {"_selftest"}
