@@ -1,7 +1,8 @@
 """Orbit sets, curve data, topological index bookkeeping, and tower audits.
 
 Every orbit action is an exact Fraction (a float action is read as its exact
-binary value), so the telescoping identities in tower audits hold exactly.
+binary value); an orbit set holds its total as a reduced integer pair and a
+curve derives its action from its endpoint sets, so tower audits are exact.
 """
 
 from __future__ import annotations
@@ -98,15 +99,15 @@ class OrbitSet:
     """An immutable finite multiset of simple orbits with positive multiplicities.
 
     Entries are sorted by label, and the invariants are computed once, at
-    construction, and read-only: the total ``action`` (one Fraction over the
-    LCM of the entry denominators, as every action is exact), ``cz_top``, the
-    score ``score`` and ``k``.  The indices are defined for nondegenerate
+    construction, and read-only: the total action (the integer pair
+    ``action_ratio()``, summed over the LCM of the entry denominators; the
+    Fraction ``action`` is built on read), ``cz_top``, ``score`` and ``k``.  The indices are defined for nondegenerate
     orbits only, so a real-lane orbit with a degenerate cover raises
     DegenerateRotationError here.  Two sets are equal when their entries
     are, orbit records included.
     """
 
-    __slots__ = ("_items", "_action", "_cz_top", "_score", "_k")
+    __slots__ = ("_items", "_num", "_den", "_cz_top", "_score", "_k")
 
     def __init__(self, entries: Iterable[Tuple[SimpleOrbit, int]] = ()):
         by_label: Dict[str, Tuple[SimpleOrbit, int]] = {}
@@ -135,16 +136,21 @@ class OrbitSet:
             cz_top += cover.cz
             score += cover.score
             k -= m > 1
-        self._action = Fraction(num, common)
+        g = math.gcd(num, common)
+        self._num, self._den = num // g, common // g
         self._cz_top, self._score, self._k = cz_top, score, k
 
     def items(self) -> Tuple[Tuple[SimpleOrbit, int], ...]:
         return self._items
 
+    def action_ratio(self) -> Tuple[int, int]:
+        """(num, den) with action = num/den in lowest terms, den > 0."""
+        return self._num, self._den
+
     @property
     def action(self) -> Fraction:
         """Multiplicity-weighted total action; the empty set has action 0."""
-        return self._action
+        return Fraction(self._num, self._den)
 
     @property
     def cz_top(self) -> int:
@@ -204,17 +210,14 @@ class CurveEnds:
         object.__setattr__(self, "count", len(self.multiplicities))
 
 
-_ZERO = Fraction(0)  # the action of every zero-action curve, shared
-
-
 @dataclass(frozen=True, slots=True)
 class CurveData:
     """Combinatorial data of one U-map curve C = C0 u C1, immutable once built.
 
-    ``action`` (the endpoint action difference, by Stokes) and ``j0``, the
-    J0 topology index -2 + 2 g(C1) + e(C), are computed at construction.
-    e(C) sums, over every orbit where C1 has ends, twice the number of ends
-    minus one when no trivial cylinder covers that orbit.
+    ``action`` (the endpoint action difference, by Stokes) is derived on
+    read; ``j0``, the J0 topology index -2 + 2 g(C1) + e(C), is computed at
+    construction.  e(C) sums, over every orbit where C1 has ends, twice the
+    number of ends minus one when no trivial cylinder covers that orbit.
 
     ``positive_ends`` / ``negative_ends`` record the ends of the embedded
     component C1; at each listed orbit the deficit against the endpoint
@@ -229,7 +232,6 @@ class CurveData:
     alpha: OrbitSet
     beta: OrbitSet
     c_tau: int = 0
-    action: Fraction = field(init=False, repr=False, compare=False)
     j0: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -239,15 +241,18 @@ class CurveData:
         object.__setattr__(self, "negative_ends", tuple(self.negative_ends))
         self._check_side(self.positive_ends, self.alpha, "positive")
         self._check_side(self.negative_ends, self.beta, "negative")
-        # a generated tower shares a set drawn twice, so its curve skips the subtraction
-        act = _ZERO if self.alpha is self.beta else self.alpha.action - self.beta.action
-        if act.numerator < 0:  # the sign, without Fraction's ordering
-            raise StructuralError(f"curve action must be nonnegative, got {act}")
-        object.__setattr__(self, "action", act if act.numerator else _ZERO)
+        (an, ad), (bn, bd) = self.alpha.action_ratio(), self.beta.action_ratio()
+        if an * bd < bn * ad:  # the sign of the difference, on cross products
+            raise StructuralError(f"curve action must be nonnegative, got {self.action}")
         j0 = -2 + 2 * self.genus
-        for ends in self.positive_ends + self.negative_ends:
-            j0 += 2 * ends.count - (0 if ends.c0_present else 1)
+        for side in (self.positive_ends, self.negative_ends):
+            for ends in side:
+                j0 += 2 * ends.count - (0 if ends.c0_present else 1)
         object.__setattr__(self, "j0", j0)
+
+    @property
+    def action(self) -> Fraction:
+        return self.alpha.action - self.beta.action
 
     @staticmethod
     def _check_side(ends: Tuple[CurveEnds, ...], endpoint: OrbitSet, side: str):
@@ -349,7 +354,6 @@ def tower_audit(t: Tower, action_threshold) -> dict:
     n = len(t)
     scores = [total_score(c) for c in t.curves]
     ys = [c.j0 - 2 for c in t.curves]
-    actions = [c.action for c in t.curves]
     indices = [ech_index_from_j0(c) for c in t.curves]
 
     lhs_score = sum(scores)
@@ -357,8 +361,10 @@ def tower_audit(t: Tower, action_threshold) -> dict:
     if not -math.inf < action_threshold < math.inf:
         raise ValueError(f"action threshold must be finite, got {action_threshold}")
     exact = Fraction(action_threshold)  # compared as integer numerators over one common denominator
-    common = math.lcm(exact.denominator, *(a.denominator for a in actions))
-    keys = [a.numerator * (common // a.denominator) for a in actions]
+    pairs = [(c.alpha.action_ratio(), c.beta.action_ratio()) for c in t.curves]
+    common = math.lcm(exact.denominator, *(den for pair in pairs for _, den in pair))
+    # a curve's key: its alpha level minus its beta level, action * common
+    keys = [an * (common // ad) - bn * (common // bd) for (an, ad), (bn, bd) in pairs]
     threshold = exact.numerator * (common // exact.denominator)
     lhs_action = Fraction(sum(keys), common)
     rhs_action = t.top.action - t.bottom.action

@@ -1,8 +1,9 @@
 """Seeded generators for orbit pools, towers, and the low-action score scan.
 
 Everything here is driven by a caller-supplied random.Random so that sweeps
-are reproducible bit-for-bit; orbit actions are exact Fractions so the
-telescoping audits check with zero tolerance.
+are reproducible bit-for-bit.  Orbit actions are exact Fractions, and a
+tower's orbit sets hold theirs as integer pairs (its curves derive theirs), so
+the telescoping audits check with zero tolerance.
 """
 
 from __future__ import annotations
@@ -132,20 +133,12 @@ def random_tower(rng: random.Random, n: int) -> Tower:
         sets.append(built[key])
     # sort on the exact integers action * L, with L the LCM of the pool's denominators
     common = math.lcm(*(o.action.denominator for o in pool))
-    sets.sort(key=lambda s: s.action.numerator * (common // s.action.denominator), reverse=True)
-    curves = []
-    for top, bottom in zip(sets, sets[1:]):
-        curves.append(
-            CurveData(
-                genus=rng.randrange(3),
-                positive_ends=_random_ends(rng, top),
-                negative_ends=_random_ends(rng, bottom),
-                alpha=top,
-                beta=bottom,
-                c_tau=rng.randrange(5) - 2,
-            )
-        )
-    return Tower(curves)
+    sets.sort(key=lambda s: s.action_ratio()[0] * (common // s.action_ratio()[1]), reverse=True)
+    # the keywords are evaluated, so drawn, in the order written
+    return Tower([CurveData(genus=rng.randrange(3), positive_ends=_random_ends(rng, top),
+                            negative_ends=_random_ends(rng, bottom), alpha=top, beta=bottom,
+                            c_tau=rng.randrange(5) - 2)
+                  for top, bottom in zip(sets, sets[1:])])
 
 
 # -- the low-action non-cylinder family ----------------------------------------

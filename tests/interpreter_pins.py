@@ -7,8 +7,9 @@ checkout's ``src`` on the path:
 
 It computes the selftest bundle's digest (hashed as perfbench/workloads.py
 hashes it), c_d of the five criterion-10 profiles at d <= 8, the digests
-that test_random_tower_stream_pinned and test_complex_stream_pinned pin, and
-the error line of a ``--flag=--`` argument.
+that test_random_tower_stream_pinned and test_complex_stream_pinned pin, the
+digest of that tower's audit at threshold 1/2 (hashed like the selftest
+bundle), and the error line of a ``--flag=--`` argument.
 """
 
 import contextlib
@@ -17,9 +18,10 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 
 from echlab import cli, pfh, twist
-from echlab.orbits import tower_to_json
+from echlab.orbits import tower_audit, tower_to_json
 from echlab.sampling import random_tower
 
 TWO_PI = 2 * math.pi
@@ -35,15 +37,18 @@ def criterion10_profiles():
     ]
 
 
-def selftest_sha256() -> str:
-    b = cli.run(cli.RunConfig("selftest", {}, seed=20260809))
-    bundle = [b.to_json(), {name: t.to_csv() for name, t in b.tables.items()}, b.plots]
-    text = json.dumps(bundle, sort_keys=True, default=str, separators=(",", ":"))
+def sha256(obj) -> str:
+    """The digest of ``obj`` as perfbench/workloads.py's ``_sha256`` takes it."""
+    text = json.dumps(obj, sort_keys=True, default=str, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def tower_stream_sha256() -> str:
-    t = random_tower(random.Random(31415), 1000)
+def selftest_sha256() -> str:
+    b = cli.run(cli.RunConfig("selftest", {}, seed=20260809))
+    return sha256([b.to_json(), {name: t.to_csv() for name, t in b.tables.items()}, b.plots])
+
+
+def tower_stream_sha256(t) -> str:
     return hashlib.sha256(json.dumps(tower_to_json(t), sort_keys=True).encode()).hexdigest()
 
 
@@ -74,11 +79,13 @@ def flag_error_line() -> str:
 
 def main():
     profiles = criterion10_profiles()
+    tower = random_tower(random.Random(31415), 1000)
     print(json.dumps({
         "selftest_sha256": selftest_sha256(),
         "spectral_cd": {f.name: [repr(pfh.spectral_invariant_cd(f, d, validate=True)) for d in range(1, 9)]
                         for f in profiles},
-        "tower_stream_sha256": tower_stream_sha256(),
+        "tower_stream_sha256": tower_stream_sha256(tower),
+        "tower_audit_sha256": sha256(tower_audit(tower, Fraction(1, 2))),
         "complex_stream_sha256": complex_stream_sha256(profiles),
         "flag_error": flag_error_line(),
     }, sort_keys=True))

@@ -1,6 +1,7 @@
 """Orbit sets, curve indices, scores, towers, and their wire formats."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -411,6 +412,17 @@ def test_tower_audit_matches_naive_sums(tower_and_entries, data):
             for i, (c, a) in enumerate(zip(t.curves, actions))
             if a <= threshold and not c.is_cylinder() and total_score(c) < 0
         ]
+    check_curve_actions(t, entries)
+
+
+def check_curve_actions(t, entries):
+    """Each curve's action is a Fraction, the naive sum of its alpha entries minus
+    that of its beta entries, and each set's public pair is its action in lowest terms."""
+    for c, upper, lower in zip(t.curves, entries, entries[1:]):
+        assert type(c.action) is Fraction and c.action == naive_action(upper) - naive_action(lower)
+        for s in (c.alpha, c.beta):
+            num, den = s.action_ratio()
+            assert den > 0 and math.gcd(num, den) == 1 and Fraction(num, den) == s.action
 
 
 def test_float_lane_audits_like_the_exact_tower():
@@ -424,6 +436,10 @@ def test_float_lane_audits_like_the_exact_tower():
         o["action"] = o["action"][0] / o["action"][1]
     floats = tower_from_json(doc)
     assert all(type(c.action) is Fraction for c in floats.curves)
+    for tower in (t, floats):
+        check_curve_actions(tower, [tower.top.items()] + [c.beta.items() for c in tower.curves])
+    dens = {s.action_ratio()[1] for c in floats.curves for s in (c.alpha, c.beta)}
+    assert all(den & (den - 1) == 0 for den in dens) and max(dens) > 1  # float actions are dyadic
 
     for rep in (tower_audit(floats, threshold), tower_audit(t, float(threshold))):
         assert rep["score_telescoping_ok"] and rep["action_telescoping_ok"]
@@ -471,6 +487,24 @@ def test_random_tower_shares_orbit_sets():
     assert twin == c.beta and twin is not c.beta
     apart = CurveData(c.genus, c.positive_ends, c.negative_ends, c.alpha, twin, c.c_tau)
     assert (apart.action, apart.j0) == (c.action, c.j0)
+
+
+def test_random_tower_keeps_no_fractions():
+    # sets hold an integer action pair and curves derive theirs, so the only
+    # Fractions a generated tower reaches are its pool's actions and rotations
+    t = random_tower(random.Random(31415), 1000)
+    gc.collect()  # the collector untracks some tuples; count after it, not by its history
+    seen, stack, fractions, tracked = set(), [t], 0, 0
+    while stack:
+        o = stack.pop()
+        if id(o) not in seen:
+            seen.add(id(o))
+            fractions += type(o) is Fraction
+            tracked += gc.is_tracked(o)
+            if not isinstance(o, type):  # a class reaches the whole interpreter
+                stack.extend(gc.get_referents(o))
+    assert fractions <= 2 * POOL_SIZE
+    assert tracked <= 4000
 
 
 def test_curve_ends_are_slotted_and_frozen():
