@@ -84,10 +84,13 @@ def parse_number(text: str) -> float:
     if text.startswith("sqrt"):
         value = math.sqrt(float(text[4:]))
     elif "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
+        try:
+            num, den = map(int, text.split("/"))
+        except ValueError:
+            raise UsageError(f"not a fraction p/q: {text!r}") from None
+        if den == 0:
             raise UsageError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(num, den)
     else:
         value = float(text)
     if not math.isfinite(value):

@@ -88,6 +88,8 @@ class TwistComplex:
     """
 
     def __init__(self, profile: TwistProfile, degree: int, generator_cap: int = GENERATOR_CAP):
+        if generator_cap < 1:
+            raise ValueError(f"generator cap must be >= 1, got {generator_cap}")
         self.profile = profile
         self.degree = degree
         self.levels = periodic_census(profile, degree)  # sorted slope descending

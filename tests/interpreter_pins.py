@@ -1,15 +1,29 @@
-"""Print, as one JSON object, the values that must be the same bytes on every supported Python.
+"""Every output the tests pin, computed in one place and recorded in ``tests/pins.json``.
 
-Stdlib only, so it runs under any interpreter that starts, with the
-checkout's ``src`` on the path:
+``PINS`` maps each key of the file to the zero-argument function that computes
+it, and ``main`` prints ``{key: fn()}`` as sorted, indented JSON: the file's
+exact content.  A re-pin is one command from the root of the checkout, and
+CHANGES.md names each value it changed and why:
 
-    PYTHONPATH=src python3.12 tests/interpreter_pins.py
+    PYTHONPATH=src python tests/interpreter_pins.py > tests/pins.json
 
-It computes the selftest bundle's digest (hashed as perfbench/workloads.py
-hashes it), c_d of the five criterion-10 profiles at d <= 8, the digests
-that test_random_tower_stream_pinned and test_complex_stream_pinned pin, the
-digest of that tower's audit at threshold 1/2 (hashed like the selftest
-bundle), and the error line of a ``--flag=--`` argument.
+Stdlib only, so it runs under any Python 3.10-3.13 that starts; test_tooling
+compares each such interpreter's output with the file, byte for byte.  The
+keys: ``selftest_sha256`` (the selftest bundle at seed 20260809, also
+``perfbench/expected.json``'s ``sweep.selftest_sha256``), ``tower_stream_sha256``
+and ``tower_audit_sha256`` (``random_tower(Random(31415), 1000)`` and its
+audit at threshold 1/2), ``complex_stream_sha256`` (the criterion-10
+complexes at d = 1..9), ``spectral_cd`` (their c_d at d = 1..8, as reprs),
+``infinite_twist_svg_sha256`` (the ``twist infinite`` plot's text, the bytes
+``--format svg`` writes) and ``flag_error`` (the exit code and error line of
+``--flag=--``).
+
+Three hashing schemes, kept so that no recorded value changes: ``sha256``,
+compact sorted JSON with ``default=str``, is how ``perfbench/workloads.py``
+hashes the selftest bundle and criterion 8's audits; the tower stream is one
+sorted JSON document with the default separators, as first recorded; the
+complex stream feeds one sorted JSON document per complex into one running
+digest.
 """
 
 import contextlib
@@ -17,6 +31,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -24,17 +39,18 @@ from echlab import cli, pfh, twist
 from echlab.orbits import tower_audit, tower_to_json
 from echlab.sampling import random_tower
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+PINS_FILE = os.path.join(HERE, "pins.json")
 TWO_PI = 2 * math.pi
 
-
-def criterion10_profiles():
-    return [
-        twist.linear_profile(0.73 * TWO_PI, support_end=0.9, name="lin073"),
-        twist.linear_profile(0.41 * TWO_PI, support_end=0.85, name="lin041"),
-        twist.linear_profile(1.37 * TWO_PI, support_end=0.9, name="lin137"),
-        twist.profile_from_samples([0.0, 0.3, 0.6, 0.85, 1.0], [5.9, 4.1, 1.7, 0.0, 0.0], name="sampled"),
-        twist.linear_profile(1.81 * TWO_PI, support_end=0.88, name="lin181"),
-    ]
+# the five profiles of acceptance criterion 10; perfbench/workloads.py keeps its own copy
+CRITERION_10_PROFILES = [
+    twist.linear_profile(0.73 * TWO_PI, support_end=0.9, name="lin073"),
+    twist.linear_profile(0.41 * TWO_PI, support_end=0.85, name="lin041"),
+    twist.linear_profile(1.37 * TWO_PI, support_end=0.9, name="lin137"),
+    twist.profile_from_samples([0.0, 0.3, 0.6, 0.85, 1.0], [5.9, 4.1, 1.7, 0.0, 0.0], name="sampled"),
+    twist.linear_profile(1.81 * TWO_PI, support_end=0.88, name="lin181"),
+]
 
 
 def sha256(obj) -> str:
@@ -48,13 +64,19 @@ def selftest_sha256() -> str:
     return sha256([b.to_json(), {name: t.to_csv() for name, t in b.tables.items()}, b.plots])
 
 
-def tower_stream_sha256(t) -> str:
+def tower_stream_sha256() -> str:
+    t = random_tower(random.Random(31415), 1000)
     return hashlib.sha256(json.dumps(tower_to_json(t), sort_keys=True).encode()).hexdigest()
 
 
-def complex_stream_sha256(profiles) -> str:
+def tower_audit_sha256() -> str:
+    return sha256(tower_audit(random_tower(random.Random(31415), 1000), Fraction(1, 2)))
+
+
+def complex_stream_sha256() -> str:
+    # the edges are written as (p, q, mult, h), the form they had when the digest was recorded
     digest = hashlib.sha256()
-    for f in profiles:
+    for f in CRITERION_10_PROFILES:
         for d in range(1, 10):
             cx = pfh.build_complex(f, d)
             lv = cx.levels
@@ -70,25 +92,31 @@ def complex_stream_sha256(profiles) -> str:
     return digest.hexdigest()
 
 
-def flag_error_line() -> str:
+def spectral_cd() -> dict:
+    return {f.name: [repr(pfh.spectral_invariant_cd(f, d, validate=True)) for d in range(1, 9)]
+            for f in CRITERION_10_PROFILES}
+
+
+def infinite_twist_svg_sha256() -> str:
+    profile = os.path.join(HERE, os.pardir, "profiles", "cubic_singular.json")
+    b = cli.run(cli.RunConfig("twist.infinite", {"profile": profile, "imax": 4, "dmax": 8}))
+    return hashlib.sha256(b.plots["infinite_twist"].encode()).hexdigest()
+
+
+def flag_error() -> str:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(["ellipsoid", "census", "--a", "1", "--b", "2", "--L=--"])
     return f"{code} {err.getvalue()}"
 
 
+PINS = {fn.__name__: fn for fn in (selftest_sha256, tower_stream_sha256, tower_audit_sha256,
+                                   complex_stream_sha256, spectral_cd, infinite_twist_svg_sha256,
+                                   flag_error)}
+
+
 def main():
-    profiles = criterion10_profiles()
-    tower = random_tower(random.Random(31415), 1000)
-    print(json.dumps({
-        "selftest_sha256": selftest_sha256(),
-        "spectral_cd": {f.name: [repr(pfh.spectral_invariant_cd(f, d, validate=True)) for d in range(1, 9)]
-                        for f in profiles},
-        "tower_stream_sha256": tower_stream_sha256(tower),
-        "tower_audit_sha256": sha256(tower_audit(tower, Fraction(1, 2))),
-        "complex_stream_sha256": complex_stream_sha256(profiles),
-        "flag_error": flag_error_line(),
-    }, sort_keys=True))
+    print(json.dumps({name: fn() for name, fn in PINS.items()}, sort_keys=True, indent=2))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ with f(s) = s^-3 the truncated Calabi invariant is log(i) + 1/3, which
 cannot reach 50 by i = 20; see the decisions ledger.
 """
 
-import hashlib
 import json
 import math
 import os
@@ -44,22 +43,17 @@ from echlab.twist import (
     calabi,
     linear_profile,
     power_profile,
-    profile_from_samples,
     truncate_profile,
     zero_profile,
 )
 from echlab.cli import RunConfig, run
 
+from interpreter_pins import CRITERION_10_PROFILES, sha256
 from oracles import hyperbolic_expectation
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 SQRT2 = math.sqrt(2)
 TWO_PI = 2 * math.pi
-
-
-def _sha256(obj) -> str:
-    text = json.dumps(obj, sort_keys=True, default=str, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def report(number: int, passed: bool, detail: str):
@@ -237,7 +231,7 @@ def test_criterion_08_tower_telescoping():
     # the towers workload hashes these reports and every tenth tower's document
     with open(os.path.join(PERFBENCH, "expected.json")) as fh:
         want = json.load(fh)["towers"]
-    got = {"audit_sha256": _sha256(reports), "tower_json_sha256": _sha256([tower_to_json(t) for t in towers[::10]])}
+    got = {"audit_sha256": sha256(reports), "tower_json_sha256": sha256([tower_to_json(t) for t in towers[::10]])}
     report(8, ok and elapsed <= 2.0 and got == want,
            f"both telescoping identities exact on 100 towers of 1000 curves, audit {elapsed:.2f}s"
            f" (generation {generation:.2f}s, ungated), digests {'match' if got == want else 'differ'}")
@@ -261,15 +255,8 @@ def test_criterion_09_score_scan():
 
 def test_criterion_10_complex_validity():
     t0 = time.perf_counter()
-    profiles = [
-        linear_profile(0.73 * TWO_PI, support_end=0.9, name="lin073"),
-        linear_profile(0.41 * TWO_PI, support_end=0.85, name="lin041"),
-        linear_profile(1.37 * TWO_PI, support_end=0.9, name="lin137"),
-        profile_from_samples([0.0, 0.3, 0.6, 0.85, 1.0], [5.9, 4.1, 1.7, 0.0, 0.0], name="sampled"),
-        linear_profile(1.81 * TWO_PI, support_end=0.88, name="lin181"),
-    ]
     total = 0
-    for f in profiles:
+    for f in CRITERION_10_PROFILES:
         for d in range(1, 9):
             rep = build_complex(f, d).validate()  # raises on any violation
             total += rep["generators"]

@@ -1,6 +1,5 @@
 """Lattice-path chain complex, spectral invariants, and the axiom suite."""
 
-import hashlib
 import json
 import math
 import os
@@ -28,24 +27,15 @@ from echlab.twist import (
     linear_profile,
     periodic_census,
     power_profile,
-    profile_from_samples,
     truncate_profile,
     zero_profile,
 )
+from interpreter_pins import CRITERION_10_PROFILES
 from oracles import bitmask_essential, hofer_distance_bound, splice_boundaries
 
 TWO_PI = 2 * math.pi
 
-SAMPLE_PROFILES = [
-    linear_profile(0.73 * TWO_PI, support_end=0.9, name="lin073"),
-    linear_profile(0.41 * TWO_PI, support_end=0.85, name="lin041"),
-    linear_profile(1.37 * TWO_PI, support_end=0.9, name="lin137"),
-    profile_from_samples([0.0, 0.3, 0.6, 0.85, 1.0], [5.9, 4.1, 1.7, 0.0, 0.0], name="sampled"),
-    constant_profile(0.67 * TWO_PI, support_end=0.8, name="const067"),
-]
-CRITERION_10_PROFILES = SAMPLE_PROFILES[:4] + [
-    linear_profile(1.81 * TWO_PI, support_end=0.88, name="lin181"),
-]
+SAMPLE_PROFILES = CRITERION_10_PROFILES[:4] + [constant_profile(0.67 * TWO_PI, support_end=0.8, name="const067")]
 
 
 def test_zero_profile_complex_is_trivial():
@@ -87,8 +77,12 @@ def test_generator_cap():
     for d in range(1, 9):
         n = len(TwistComplex(f, d).generators)
         assert len(TwistComplex(f, d, generator_cap=n).generators) == n
-        with pytest.raises(ComplexSizeError, match=f"generator cap {n - 1} exceeded"):
-            TwistComplex(f, d, generator_cap=n - 1)
+        if n > 1:
+            with pytest.raises(ComplexSizeError, match=f"generator cap {n - 1} exceeded"):
+                TwistComplex(f, d, generator_cap=n - 1)
+    for cap in (0, -1):  # a cap below 1 admits no generator: refused before the census
+        with pytest.raises(ValueError, match=f"^generator cap must be >= 1, got {cap}$"):
+            TwistComplex(f, 1, generator_cap=cap)
 
 
 def test_a_corner_rounding_off_the_census_is_named():
@@ -347,31 +341,6 @@ def test_action_floor_parameter():
     assert rep["min_action_drop"] > 1e-9
     with pytest.raises(CalibrationError):
         cx.validate(action_floor=rep["min_action_drop"] * 1.01)
-
-
-def test_complex_stream_pinned():
-    # digest recorded with the Fraction-slope edge representation: the
-    # integer level-id complexes keep its generators (as (p, q, mult, h)
-    # edges plus ref), gradings, actions, boundaries and persistence births
-    digest = hashlib.sha256()
-    for f in CRITERION_10_PROFILES:
-        for d in range(1, 10):
-            cx = build_complex(f, d)
-            lv = cx.levels
-            doc = {
-                "generators": [
-                    [[(lv[i].p, lv[i].q, m, h) for i, m, h in edges], ref]
-                    for edges, ref in cx.generators
-                ],
-                "gradings": cx.gradings,
-                "actions": [repr(a) for a in cx.actions],
-                "boundaries": cx.boundaries(),
-                "births": [[g, repr(b)] for g, b in sorted(cx.persistence_birth_actions().items())],
-            }
-            digest.update(json.dumps(doc, sort_keys=True).encode())
-    assert digest.hexdigest() == (
-        "ec6419fad7513ff463b8891b296a150c7a08783d7c0260d135df6a12c1de8dd3"
-    )
 
 
 def test_corner_hulls_lie_strictly_between_their_corner_levels():

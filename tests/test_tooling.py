@@ -1,26 +1,28 @@
 """The benchmark's workloads and traced run use echlab names that must keep
-existing, its pinned selftest digest must hold on every supported Python,
+existing, every output pinned in tests/pins.json must hold on every supported Python,
 the CLI's verdicts must be checks that can fail, every public name must have
 a reader, and the two strands of the library load apart from each other."""
 
 import ast
 import glob
-import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import interpreter_pins
 from echlab import cli
-from echlab.cli import RunConfig, run
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SPANS = os.path.join(PERFBENCH, "spans.py")
+with open(interpreter_pins.PINS_FILE) as fh:
+    PINNED = json.load(fh)
 
 
 def test_traced_boundaries_resolve():
@@ -83,14 +85,29 @@ def test_importing_echlab_loads_no_oracle(oracle):
     assert out.stdout.strip() == "[]", out.stdout
 
 
+@pytest.mark.parametrize("key", sorted(set(interpreter_pins.PINS) | set(PINNED)))
+def test_pinned_output(key):
+    # every value a test pins is recorded in tests/pins.json; a re-pin rewrites
+    # the file with interpreter_pins.py, and a key on one side only is stale
+    assert key in PINNED, f"{key} is not recorded in tests/pins.json"
+    assert key in interpreter_pins.PINS, f"tests/pins.json records {key}, which nothing computes"
+    assert interpreter_pins.PINS[key]() == PINNED[key], key
+
+
 def test_selftest_bundle_matches_the_benchmark_digest():
-    # the sweep workload hashes this bundle; a refactor must keep it byte-identical
+    # the sweep workload hashes the selftest bundle; its record and the tests' cannot drift apart
     with open(os.path.join(PERFBENCH, "expected.json")) as fh:
-        want = json.load(fh)["sweep"]["selftest_sha256"]
-    b = run(RunConfig("selftest", {}, seed=20260809))
-    bundle = [b.to_json(), {name: t.to_csv() for name, t in b.tables.items()}, b.plots]
-    text = json.dumps(bundle, sort_keys=True, default=str, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+        assert PINNED["selftest_sha256"] == json.load(fh)["sweep"]["selftest_sha256"]
+
+
+def test_no_digest_literal_in_test_code():
+    # a pinned digest lives in tests/pins.json, where one command re-records it
+    literals = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))):
+        with open(path) as fh:
+            literals += [f"{os.path.basename(path)}:{n}" for n, line in enumerate(fh, 1)
+                         if re.search("[0-9a-fA-F]{64}", line)]
+    assert not literals, literals
 
 
 def _other_interpreters() -> dict:
@@ -117,16 +134,14 @@ def test_pins_are_the_same_bytes_on_every_interpreter_that_starts():
     others = _other_interpreters()
     if not others:
         pytest.skip("no other Python 3.10-3.13 interpreter starts here")
-    script = os.path.join(os.path.dirname(__file__), "interpreter_pins.py")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    this = sys.version.split()[0]
-    procs = {version: subprocess.Popen([exe, script], env=env, text=True,
+    procs = {version: subprocess.Popen([exe, interpreter_pins.__file__], env=env, text=True,
                                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-             for version, exe in {this: sys.executable, **others}.items()}
-    outputs = {version: proc.communicate() for version, proc in procs.items()}
-    want = outputs.pop(this)[0]
-    assert json.loads(want)["flag_error"] == "2 error: an option given as --flag=-- has no value\n"
-    for version, (out, err) in outputs.items():
+             for version, exe in others.items()}
+    with open(interpreter_pins.PINS_FILE) as fh:
+        want = fh.read()
+    for version, proc in procs.items():
+        out, err = proc.communicate()
         assert out == want, (version, err)
 
 
