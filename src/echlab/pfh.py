@@ -10,13 +10,14 @@ m q * integral_0^slope 2 pi E(r(tau)) d tau and therefore strictly decreases
 under rounding whenever the twist angle is non-increasing.
 
 The hot paths are exact integer code.  A level is named by its position in
-the slope-descending census; an edge is an int tuple (level_id, mult, h).
+the slope-descending census; an edge is a shared int tuple (level_id, mult,
+h), and a generator is the flat tuple of its edges, the reference edge last.
 The enumeration makes one call per generator and yields its grading, action
-and path key, the sum of (2 mult + h) << (w level_id) over its edges and the
-reference edge.  Each corner shape (edge, next edge) has fixed key deltas, so
-a boundary term is one integer addition and one index lookup.  Homology comes
-from a filtration-order reduction over GF(2) with clearing, on set columns,
-one grading at a time.
+and path key, the sum of (2 mult + h) << (w level_id) over its edges.  Each
+corner shape (edge, next edge) has fixed key deltas, so a boundary term is
+one integer addition and one index lookup.  Homology comes from a
+filtration-order reduction over GF(2) with clearing, on set columns, one
+grading at a time.
 
 The spectral invariant c_d is the calibrated radial staircase value
 sum_{k=1..d} H(k/(d+1)); the run manifest records the calibration constants.
@@ -49,7 +50,6 @@ class ComplexSizeError(RuntimeError):
 
 
 Edge = Tuple[int, int, int]  # (level_id, mult, h)
-Generator = Tuple[Tuple[Edge, ...], int]  # (edges, ref)
 
 
 def _hull_path(points: list, upper: bool) -> list:
@@ -82,12 +82,14 @@ class TwistComplex:
     """The filtered chain complex of one (profile, degree) instance.
 
     Level ids index ``levels`` (slope descending); the slope-0 reference edge
-    has id ``len(levels)``.  A generator is ``(edges, ref)``, edges in
-    increasing id order.  The enumeration fills ``gradings`` and ``actions``;
-    the boundary and the reduction are computed on first use and kept.
+    has id ``len(levels)``.  A generator is a tuple of shared edges by id, the
+    reference edge last when its width is positive.  The enumeration fills
+    ``gradings`` and ``actions``; the boundary and reduction are made on first use.
     """
 
     def __init__(self, profile: TwistProfile, degree: int, generator_cap: int = GENERATOR_CAP):
+        if not isinstance(degree, int) or not isinstance(generator_cap, int):
+            raise ValueError(f"degree and generator cap must be integers, got {degree!r} and {generator_cap!r}")
         if generator_cap < 1:
             raise ValueError(f"generator cap must be >= 1, got {generator_cap}")
         self.profile = profile
@@ -101,21 +103,21 @@ class TwistComplex:
         self._coef = [scale * c.p * disk_area_level(c.radius) - c.q * H(c.radius) for c in self.levels]
         self._w = (2 * degree + 3).bit_length()  # key bits per level: 2 mult + h <= 2 d + 1
         self.generators, self.gradings, self.actions, self._keys = self._enumerate(generator_cap)
-        self._boundaries: Optional[List[List[int]]] = None
+        self._boundaries: Optional[List[Tuple[int, ...]]] = None
         self._essential: Optional[List[int]] = None
 
     # -- enumeration -----------------------------------------------------------
 
-    def _enumerate(self, cap: int) -> Tuple[List[Generator], List[int], List[float], List[int]]:
+    def _enumerate(self, cap: int) -> Tuple[List[Tuple[Edge, ...]], List[int], List[float], List[int]]:
         """Every generator, depth first, with its grading, action and path key.
 
-        Each call emits one generator, its edges so far with ``ref`` the width
-        left, then extends it by each edge on a later level that fits, levels
-        in descending id order.  The grading is 2 (L - (d+1)) - h + d, L the
+        Each call emits one generator, its edges so far and a reference edge of
+        the width left, then extends it by each edge on a later level that fits,
+        levels in descending id order.  The grading is 2 (L - (d+1)) - h + d, L the
         lattice points in 0 <= y <= path(x), 0 <= x <= degree.  The action sums
         the anchored m * (2 pi p E(r) - q H(r)) over the level edges in order.
         """
-        gens: List[Generator] = []
+        gens: List[Tuple[Edge, ...]] = []
         gradings: List[int] = []
         actions: List[float] = []
         keys: List[int] = []
@@ -123,12 +125,15 @@ class TwistComplex:
         ref_shift = w * self.ref_id + 1  # the reference edge's 2 ref, in its own slot
         # level ids whose primitive step fits in each width, descending
         fits = [[j for j in range(self.ref_id - 1, -1, -1) if q[j] <= b] for b in range(d + 1)]
+        # one shared edge, in a 1-tuple, per level, multiplicity and label, and per reference width
+        edge = [[None] + [(((j, m, 0),), ((j, m, 1),)) for m in range(1, d // q[j] + 1)] for j in range(self.ref_id)]
+        ref_edge = [()] + [((self.ref_id, b, 0),) for b in range(1, d + 1)]
 
         def visit(i: int, budget: int, edges: tuple, key: int, count: int, y: int, hs: int, action: float):
             if len(gens) == cap:
                 raise ComplexSizeError(f"generator cap {cap} exceeded (at least {cap + 1} generators); "
                                        "lower the degree or cap the census")
-            gens.append((edges, budget))
+            gens.append(edges + ref_edge[budget])
             keys.append(key + (budget << ref_shift))
             # the reference filler: budget + 1 columns of y + 1 points
             gradings.append(2 * (count + (budget + 1) * (y + 1) - (d + 1)) - hs + d)
@@ -137,17 +142,15 @@ class TwistComplex:
                 if j < i:
                     break
                 pj, qj, shift = p[j], q[j], w * j
-                m = 1
-                while m * qj <= budget:
+                for m in range(1, budget // qj + 1):
                     # columns x = 0..mq-1 under m primitive steps (q, p) from height y:
                     # sum of y + 1 + floor(p x / q), with sum_{r<q} floor(p r / q) =
                     # (p-1)(q-1)/2 for coprime p, q
                     points = count + m * qj * (y + 1) + pj * qj * m * (m - 1) // 2 + m * (pj - 1) * (qj - 1) // 2
                     edge_action = action + m * coef[j]
                     for h in (0, 1):
-                        visit(j + 1, budget - m * qj, edges + ((j, m, h),), key + ((2 * m + h) << shift),
+                        visit(j + 1, budget - m * qj, edges + edge[j][m][h], key + ((2 * m + h) << shift),
                               points, y + m * pj, hs + h, edge_action)
-                    m += 1
 
         visit(0, d, (), 0, 0, 0, 0, 0.0)
         return gens, gradings, actions, keys
@@ -171,8 +174,8 @@ class TwistComplex:
             zone.append((level, g, 0))
         return tuple(zone)
 
-    def boundaries(self) -> List[List[int]]:
-        """Indices of the generators in d(generator i), for every i, over the two-element field.
+    def boundaries(self) -> List[Tuple[int, ...]]:
+        """The tuple of generator indices in d(generator i), for every i, over the two-element field.
 
         One term per corner and per relabeling of the rounded zone with total
         h-count one less: a surviving h may sit on any zone edge but a flat
@@ -213,10 +216,8 @@ class TwistComplex:
             levels = [a] * (ma > 1) + hull[1] + [b] * (mb > 1)
             return tuple(base + (1 << (w * i)) for i in levels)
 
-        bnds: List[List[int]] = []
-        for key, (edges, ref) in zip(self._keys, self.generators):
-            if ref:
-                edges += ((ref_id, ref, 0),)
+        bnds: List[Tuple[int, ...]] = []
+        for key, edges in zip(self._keys, self.generators):
             row: List[int] = []
             ea = edges[0]
             for eb in edges[1:] + (None,):
@@ -227,7 +228,7 @@ class TwistComplex:
                     for delta in deltas:
                         row.append(index[key + delta])
                 ea = eb
-            bnds.append(row)
+            bnds.append(tuple(row))
         self._boundaries = bnds
         self._keys = []  # the keys serve only the boundary pass
         return bnds
@@ -305,8 +306,7 @@ class TwistComplex:
             if square:
                 raise CalibrationError(f"d^2 != 0 at generator {self.generators[i]}")
         ranks = self.homology_ranks()
-        d = self.degree
-        bad_parity = [g for g in ranks if (g - d) % 2 != 0]
+        bad_parity = [g for g in ranks if (g - self.degree) % 2 != 0]
         bad_rank = {g: r for g, r in ranks.items() if r != 1}
         if bad_parity or bad_rank or len(ranks) != 1:
             raise CalibrationError(

@@ -74,15 +74,16 @@ def tower_audit_sha256() -> str:
 
 
 def complex_stream_sha256() -> str:
-    # the edges are written as (p, q, mult, h), the form they had when the digest was recorded
+    # each generator is written as [edges, reference width], its edges as (p, q, mult, h):
+    # the form it had when the digest was recorded
     digest = hashlib.sha256()
     for f in CRITERION_10_PROFILES:
         for d in range(1, 10):
             cx = pfh.build_complex(f, d)
             lv = cx.levels
+            split = [(g[:-1], g[-1][1]) if g[-1][0] == cx.ref_id else (g, 0) for g in cx.generators]
             doc = {
-                "generators": [[[(lv[i].p, lv[i].q, m, h) for i, m, h in edges], ref]
-                               for edges, ref in cx.generators],
+                "generators": [[[(lv[i].p, lv[i].q, m, h) for i, m, h in edges], ref] for edges, ref in split],
                 "gradings": cx.gradings,
                 "actions": [repr(a) for a in cx.actions],
                 "boundaries": cx.boundaries(),

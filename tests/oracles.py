@@ -195,9 +195,7 @@ def splice_boundaries(cx) -> list:
     index = {g: i for i, g in enumerate(cx.generators)}
     ref_id, hulls = cx.ref_id, {}
     bnds = []
-    for edges, ref in cx.generators:
-        if ref:
-            edges += ((ref_id, ref, 0),)
+    for edges in cx.generators:
         counts = {}
         last = len(edges) - 1
         for corner, (a, ma, ha) in enumerate(edges):
@@ -219,7 +217,7 @@ def splice_boundaries(cx) -> list:
             ]
             for labeled in labelings:
                 path = head + labeled + rest
-                ti = index[(path[:-1], path[-1][1]) if path[-1][0] == ref_id else (path, 0)]
+                ti = index[path]
                 counts[ti] = counts.get(ti, 0) + 1
         bnds.append([ti for ti, c in counts.items() if c % 2 == 1])
     return bnds
