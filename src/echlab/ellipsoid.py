@@ -125,7 +125,7 @@ def spectrum_values(
 ) -> List[Tuple[float, int, int]]:
     """Sorted values m*a + n*b with (m, n) witnesses, from row sums.
 
-    Provide a finite action bound L or an entry count of at most ``cap``.  Row n
+    Provide a finite action bound L or an integer entry count in 1..``cap``.  Row n
     starts at b plus the value of (0, n-1) and adds a repeatedly (a heap's float
     sums); rows cut at the bound are pooled and sorted.  A count's bound is
     sqrt(2ab count) + a + b: the unit squares at the lattice points with
@@ -138,6 +138,8 @@ def spectrum_values(
         raise ValueError("provide exactly one of L or count")
     if L is not None and not math.isfinite(L):
         raise ValueError(f"action bound must be finite, got {L}")
+    if count is not None and (not isinstance(count, int) or count < 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     if count is not None and count > cap:
         raise ResourceCapError(f"spectrum entry cap {cap} exceeded")
     if e.is_rational and not formal:
@@ -146,13 +148,15 @@ def spectrum_values(
     a, b = e.a, e.b
     big = math.nextafter(math.inf, 0.0)  # a count's bound stays finite, so rows end before overflow
     bound = L * (1 + 1e-15) if count is None else min(math.sqrt(2.0 * count * a) * math.sqrt(b) + a + b, big)
-    out, v0, n = [], 0.0, 0
+    out, ms, v0, n = [], [], 0.0, 0  # ms: the witnesses 0, 1, ..., one int object each, shared by every row
     while v0 <= bound and (count is None or n < count):
         width = cap + 1 - len(out) if count is None else count - n  # at most one past the cap
         row = list(accumulate(repeat(a, int(min(width - 1, (bound - v0) / a + 1))), initial=v0))
         while len(row) < width and row[-1] <= bound:
             row.append(row[-1] + a)
-        out += zip(row, range(bisect_right(row, bound)), repeat(n))
+        del row[bisect_right(row, bound):]
+        ms += range(len(ms), len(row))
+        out += zip(row, ms, repeat(n))
         if count is None and len(out) > cap:
             raise ResourceCapError(f"spectrum entry cap {cap} exceeded")
         v0, n = v0 + b, n + 1

@@ -405,7 +405,9 @@ def tower_audit(t: Tower, action_threshold) -> dict:
 # curve: {"genus": int, "c_tau": int, "alpha": entries, "beta": entries,
 #         "positive_ends": [{"orbit": label, "multiplicities": [..], "c0": bool}...],
 #         "negative_ends": [...]}
-# tower: {"orbits": [orbit...], "curves": [curve...]} with per-curve entries lists.
+# tower: {"orbits": [orbit...], "curves": [curve...]}; a written document shares one entries
+#        list per orbit set object and one ends dict per distinct CurveEnds value (the
+#        bytes are those of unshared values), so deep-copy one before editing it in place.
 
 
 def _orbit_set(d: dict, key: str, pool: Dict[str, SimpleOrbit]) -> OrbitSet:
@@ -484,25 +486,25 @@ def orbit_set_from_json(d: dict) -> OrbitSet:
     return _orbit_set(d, "entries", _orbit_pool(json_array(d, "orbits")))
 
 
-def _ends_to_json(side: Tuple[CurveEnds, ...]) -> list:
-    return [{"orbit": e.orbit_label, "multiplicities": list(e.multiplicities), "c0": e.c0_present}
-            for e in side]
+def _curve_body(c: CurveData, sets: dict, ends: dict) -> dict:
+    """A curve record without its orbit list, which a tower document holds once for all curves.
 
-
-def _curve_body(c: CurveData) -> dict:
-    """A curve record without its orbit list, which a tower document holds once for all curves."""
-    return {
-        "genus": c.genus,
-        "c_tau": c.c_tau,
-        "alpha": [[o.label, m] for o, m in c.alpha.items()],
-        "beta": [[o.label, m] for o, m in c.beta.items()],
-        "positive_ends": _ends_to_json(c.positive_ends),
-        "negative_ends": _ends_to_json(c.negative_ends),
-    }
+    The memos ``sets`` (id of an orbit set -> (set, entries list); holding the
+    set keeps its id unique) and ``ends`` (CurveEnds -> ends dict) give each
+    distinct set or record one JSON value.
+    """
+    body = {"genus": c.genus, "c_tau": c.c_tau}
+    # memo.get(k) or memo.setdefault(k, value): one hash on a hit, and the value is built only on a miss
+    for key, s in (("alpha", c.alpha), ("beta", c.beta)):
+        body[key] = (sets.get(id(s)) or sets.setdefault(id(s), (s, [[o.label, m] for o, m in s.items()])))[1]
+    for key, side in (("positive_ends", c.positive_ends), ("negative_ends", c.negative_ends)):
+        body[key] = [ends.get(e) or ends.setdefault(e, {"orbit": e.orbit_label, "multiplicities": list(e.multiplicities),
+                                                        "c0": e.c0_present}) for e in side]
+    return body
 
 
 def curve_to_json(c: CurveData) -> dict:
-    return {"orbits": _orbits_to_json(c.alpha.items() + c.beta.items()), **_curve_body(c)}
+    return {"orbits": _orbits_to_json(c.alpha.items() + c.beta.items()), **_curve_body(c, {}, {})}
 
 
 def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> CurveData:
@@ -527,8 +529,14 @@ def curve_from_json(d: dict, pool: Optional[Dict[str, SimpleOrbit]] = None) -> C
 
 
 def tower_to_json(t: Tower) -> dict:
-    return {"orbits": _orbits_to_json(p for c in t.curves for p in c.alpha.items() + c.beta.items()),
-            "curves": [_curve_body(c) for c in t.curves]}
+    """The tower document, sharing what the tower shares: one entries list per
+    orbit set object and one ends dict per distinct CurveEnds value, in memos
+    local to the call.  ``json.dumps`` writes the bytes of unshared values;
+    ``copy.deepcopy`` a document before editing it in place.
+    """
+    sets, ends = {}, {}
+    curves = [_curve_body(c, sets, ends) for c in t.curves]
+    return {"orbits": _orbits_to_json(p for s, _ in sets.values() for p in s.items()), "curves": curves}
 
 
 def tower_from_json(d: dict) -> Tower:

@@ -4,7 +4,7 @@ import heapq
 import math
 
 from echlab.ellipsoid import TWO_PI, ResourceCapError, _gauss_legendre
-from echlab.orbits import CurveData, CurveEnds, OrbitSet, Tower
+from echlab.orbits import CurveData, CurveEnds, OrbitSet, Tower, orbit_to_json
 from echlab.pfh import _hull_path
 from echlab.rotations import Rotation
 from echlab.sampling import SET_MAX_MULT, SET_MAX_ORBITS, _splits, orbit_pool, pool_entries
@@ -123,6 +123,26 @@ def random_tower(rng, n: int) -> Tower:
             )
         )
     return Tower(curves)
+
+
+def tower_to_json(t: Tower) -> dict:
+    """``orbits.tower_to_json`` without sharing: fresh entries lists and ends dicts for every curve."""
+    labels = {o.label: o for c in t.curves for o, _ in c.alpha.items() + c.beta.items()}
+
+    def ends(side):
+        return [{"orbit": e.orbit_label, "multiplicities": list(e.multiplicities), "c0": e.c0_present} for e in side]
+
+    return {
+        "orbits": [orbit_to_json(labels[k]) for k in sorted(labels)],
+        "curves": [{
+            "genus": c.genus,
+            "c_tau": c.c_tau,
+            "alpha": [[o.label, m] for o, m in c.alpha.items()],
+            "beta": [[o.label, m] for o, m in c.beta.items()],
+            "positive_ends": ends(c.positive_ends),
+            "negative_ends": ends(c.negative_ends),
+        } for c in t.curves],
+    }
 
 
 def heap_spectrum_values(a: float, b: float, L=None, count=None, cap: int = 10**7) -> list:

@@ -261,10 +261,18 @@ def test_weyl_table_over_the_cap_fails_fast():
     assert time.perf_counter() - t0 < 0.5
 
 
-@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
-def test_spectrum_rejects_non_finite_bound(L):
-    with pytest.raises(ValueError, match="finite"):
-        spectrum_values(Ellipsoid(1.0, SQRT2), L=L)
+@pytest.mark.parametrize("bound, match", [
+    pytest.param({"L": math.nan}, "action bound must be finite, got nan", id="nan"),
+    pytest.param({"L": math.inf}, "action bound must be finite, got inf", id="inf"),
+    pytest.param({"L": -math.inf}, "action bound must be finite, got -inf", id="-inf"),
+    # a count that is not an integer >= 1 is refused by value, before any enumeration
+    pytest.param({"count": -3}, r"count must be an integer >= 1, got -3$", id="count=-3"),
+    pytest.param({"count": 0}, r"count must be an integer >= 1, got 0$", id="count=0"),
+    pytest.param({"count": 2.5}, r"count must be an integer >= 1, got 2\.5$", id="count=2.5"),
+])
+def test_spectrum_rejects_non_finite_bound(bound, match):
+    with pytest.raises(ValueError, match=match):
+        spectrum_values(Ellipsoid(1.0, SQRT2), **bound)
 
 
 @settings(max_examples=60, deadline=None)

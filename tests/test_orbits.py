@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,8 @@ from echlab.orbits import (
 )
 from echlab.rotations import DegenerateRotationError, Rotation
 from echlab.sampling import POOL_SIZE, random_tower
+
+import oracles
 
 
 def orb(label, action, num, den=1, kind=ELLIPTIC):
@@ -526,6 +529,28 @@ def test_tower_with_shared_parts_roundtrips_equal():
     assert t2 == t
     assert tower_to_json(t2) == doc
     assert [(c.action, c.j0) for c in t2.curves] == [(c.action, c.j0) for c in t.curves]
+
+
+def test_tower_document_shares_sets_and_ends_and_writes_the_unshared_bytes():
+    towers = [random_tower(random.Random(seed), 300) for seed in (1, 2, 3)]
+    # read back, no two curves share an orbit set object, but equal ends records still share one dict
+    towers.append(tower_from_json(json.loads(json.dumps(tower_to_json(towers[0])))))
+    for t in towers:
+        doc, want = tower_to_json(t), oracles.tower_to_json(t)
+        assert doc == want and json.dumps(doc) == json.dumps(want)
+
+    t = random_tower(random.Random(31415), 1000)
+    tracemalloc.start()
+    try:
+        doc = tower_to_json(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sets = {id(s) for c in t.curves for s in (c.alpha, c.beta)}
+    ends = {e for c in t.curves for e in c.positive_ends + c.negative_ends}
+    assert len({id(c[k]) for c in doc["curves"] for k in ("alpha", "beta")}) <= len(sets)
+    assert len({id(e) for c in doc["curves"] for k in ("positive_ends", "negative_ends") for e in c[k]}) <= len(ends)
+    assert peak <= 2**20  # the unshared writer peaks near 1.7 MiB on this tower
 
 
 def test_repeated_orbit_labels_are_structural_errors():
