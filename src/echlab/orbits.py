@@ -24,6 +24,7 @@ ELLIPTIC = "elliptic"
 POSITIVE_HYPERBOLIC = "positive-hyperbolic"
 NEGATIVE_HYPERBOLIC = "negative-hyperbolic"
 KINDS = (ELLIPTIC, POSITIVE_HYPERBOLIC, NEGATIVE_HYPERBOLIC)
+FORCED_MAX_GENUS, FORCED_MAX_ENDS = 3, 6  # the bounds of forced_topology's search
 
 
 class Cover(NamedTuple):
@@ -286,15 +287,15 @@ def ech_index_from_j0(c: CurveData) -> int:
     return c.j0 + 2 * c.c_tau + c.alpha.cz_top - c.beta.cz_top
 
 
-def forced_topology(j0: int, max_genus: int = 3, max_ends: int = 6):
-    """Solve -2 + 2g + 2E = j0 for small (genus, end count) pairs (g, E).
+def forced_topology(j0: int):
+    """Solve -2 + 2g + 2E = j0 for (genus, end count) pairs (g, E) up to the FORCED_MAX_* bounds.
 
     Trivial cylinders cover every C1-end orbit, so e = 2E; a curve between
     nonempty orbit sets has an end of each sign, so E >= 2.
     """
     out = set()
-    for g in range(0, max_genus + 1):
-        for ends in range(2, max_ends + 1):
+    for g in range(FORCED_MAX_GENUS + 1):
+        for ends in range(2, FORCED_MAX_ENDS + 1):
             if -2 + 2 * g + 2 * ends == j0:
                 out.add((g, ends))
     return out
@@ -405,9 +406,7 @@ def tower_audit(t: Tower, action_threshold) -> dict:
 # curve: {"genus": int, "c_tau": int, "alpha": entries, "beta": entries,
 #         "positive_ends": [{"orbit": label, "multiplicities": [..], "c0": bool}...],
 #         "negative_ends": [...]}
-# tower: {"orbits": [orbit...], "curves": [curve...]}; a written document shares one entries
-#        list per orbit set object and one ends dict per distinct CurveEnds value (the
-#        bytes are those of unshared values), so deep-copy one before editing it in place.
+# tower: {"orbits": [orbit...], "curves": [curve...]}; see tower_to_json for what a written one shares
 
 
 def _orbit_set(d: dict, key: str, pool: Dict[str, SimpleOrbit]) -> OrbitSet:
@@ -456,8 +455,12 @@ def orbit_from_json(d: dict) -> SimpleOrbit:
 
 
 def _orbits_to_json(entries: Iterable[Tuple[SimpleOrbit, int]]) -> list:
-    """The ``orbits`` list of a document: one record per label among the entries, sorted by label."""
-    labels = {o.label: o for o, _ in entries}
+    """The ``orbits`` list of a document, one record per label, sorted; two different orbits
+    under one label raise StructuralError, as one record cannot describe both."""
+    labels: Dict[str, SimpleOrbit] = {}
+    for o, _ in entries:
+        if labels.setdefault(o.label, o) is not o and labels[o.label] != o:
+            raise StructuralError(f"orbit label {o.label!r} names two different orbits")
     return [orbit_to_json(labels[k]) for k in sorted(labels)]
 
 

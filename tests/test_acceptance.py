@@ -203,7 +203,7 @@ def test_criterion_06_cz_properties():
 
 def test_criterion_07_forced_cylinder():
     t0 = time.perf_counter()
-    solutions = forced_topology(2, max_genus=3, max_ends=6)
+    solutions = forced_topology(2)
     brute = {
         (g, ends)
         for g in range(0, 4)

@@ -135,9 +135,9 @@ def test_complex_cap_error_exits_2(tmp_path, capsys):
          "error: degenerate rotation at multiplicity 2: m*theta = 1.0 is within 1e-12 of an "
          "integer; pass an exact rational p/q\n"),
         (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--count", "0"],
-         "error: spectrum count must be at least 1, got 0"),
+         "error: count must be an integer >= 1, got 0\n"),
         (["ellipsoid", "spectrum", "--a", "1", "--b", "sqrt2", "--count", "5", "--L", "3"],
-         "error: give --L or --count, not both"),
+         "error: provide exactly one of L or count\n"),
         (["ellipsoid", "census", "--a", "1", "--b", "2", "--L", "1e300"],
          "error: census would list more than 100000 torus families"),
         (["ellipsoid", "census", "--a", "1", "--b", "2", "--L=--"], "error: an option given as --flag=-- has no value"),

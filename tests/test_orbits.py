@@ -565,3 +565,16 @@ def test_repeated_orbit_labels_are_structural_errors():
         tower_from_json({"orbits": [a1], "curves": [dict(curve, orbits=[a5])]})
     t = tower_from_json({"orbits": [a1], "curves": [dict(curve, orbits=[a1])]})  # the same orbit again
     assert t.top.action == 2
+
+
+def test_writers_refuse_a_label_that_names_two_orbits():
+    # Tower compares adjacent sets only, so {a(5)} -> {b} -> {a(1)} is a tower; an
+    # orbits list keeps one record per label, and the lossy document would read
+    # back as a curve of action -1 (the tower) or silently of action 0 (the curve)
+    a1 = orb("a", 1, 1, 5)
+    for write, obj in ((tower_to_json, Tower([cylinder(GAMMA_A, GAMMA_B), cylinder(GAMMA_B, a1)])),
+                       (curve_to_json, cylinder(GAMMA_A, a1))):
+        with pytest.raises(StructuralError, match="orbit label 'a' names two different orbits"):
+            write(obj)
+    same = cylinder(GAMMA_A, orb("a", 5, 1, 5))  # an equal orbit built twice is one orbit
+    assert curve_from_json(curve_to_json(same)) == same

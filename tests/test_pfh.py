@@ -245,7 +245,14 @@ def test_rank_pattern_guard_raises_not_patches():
     f = linear_profile(0.73 * TWO_PI, support_end=0.9)
     cx = build_complex(f, 3)
     cx.gradings[0] += 1
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="grading drop 0 != 1"):
+        cx.validate()
+    # a second essential column, in another grading: the chain-level checks
+    # pass, and only the rank pattern refuses the complex
+    cx = build_complex(f, 3)
+    (unique,) = cx._reduce()
+    cx._essential.append(next(i for i, g in enumerate(cx.gradings) if g != cx.gradings[unique]))
+    with pytest.raises(CalibrationError, match=r"rank pattern failure: .* class count 2 "):
         cx.validate()
 
 

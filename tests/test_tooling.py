@@ -1,20 +1,25 @@
 """The benchmark's workloads and traced run use echlab names that must keep
 existing, every output pinned in tests/pins.json must hold on every supported Python,
 the CLI's verdicts must be checks that can fail, every public name must have
-a reader, and the two strands of the library load apart from each other."""
+a reader, the two strands of the library load apart from each other, and
+what the README names exists in the code."""
 
 import ast
 import glob
 import importlib.util
 import json
 import os
+import pkgutil
 import re
+import shlex
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
 
+import echlab
 import interpreter_pins
 from echlab import cli
 
@@ -263,3 +268,90 @@ def test_no_module_imports_another_modules_private_name():
                     and isinstance(node.value, ast.Name) and node.value.id in aliases):
                 private.append(f"{name}: {node.value.id}.{node.attr}")
     assert not private, private
+
+
+# --flags the README shows that are not echlab's: pip's, and the form "--flag=--"
+# that the parser refuses
+README_FOREIGN_FLAGS = {"no-build-isolation", "flag"}
+# names in backticks that look dotted but are files a run writes, not repository paths
+README_OUTPUT_FILES = {"report.json"}
+
+
+_MISSING = object()
+
+
+def _has_attribute(owners, dotted: str) -> bool:
+    """Whether one of ``owners`` has the attribute chain ``dotted``."""
+    for obj in owners:
+        for attr in dotted.split("."):
+            obj = getattr(obj, attr, _MISSING)
+        if obj is not _MISSING:
+            return True
+    return False
+
+
+def test_readme_names_resolve():
+    # the README is an index of the code: a name, file, flag, verdict or command
+    # line it shows that the code lacks fails here
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    fenced = re.findall(r"^```\w*\n(.*?)^```", text, flags=re.S | re.M)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    modules = {m.name: importlib.import_module(f"echlab.{m.name}")
+               for m in pkgutil.iter_modules(echlab.__path__) if not m.name.startswith("_")}
+    classes = {m: [c for c in vars(mod).values() if isinstance(c, type) and c.__module__ == mod.__name__]
+               for m, mod in modules.items()}
+    roots = types.SimpleNamespace(echlab=echlab, **modules, **{c.__name__: c for cs in classes.values() for c in cs})
+    bad = []
+
+    # (a) dotted names resolve, and each path (and test named by its node id) exists
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        path = re.fullmatch(r"([\w./-]+\.(?:py|json|toml|md))(?:::(\w+))?", span)
+        if path and span not in README_OUTPUT_FILES:
+            file = os.path.join(ROOT, path[1])
+            if not os.path.isfile(file):
+                bad.append(f"no file {span}")
+            elif path[2]:
+                with open(file) as fh:
+                    if not re.search(rf"^def {path[2]}\(", fh.read(), re.M):
+                        bad.append(f"no test {span}")
+        elif not path and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", span) and not _has_attribute([roots], span):
+            bad.append(f"unresolved {span}")
+
+    # (b) each layout row names attributes of its module, or of a class defined in it
+    rows = re.findall(r"^\| `echlab\.(\w+)` \|(.*)$", text, flags=re.M)
+    assert {name for name, _ in rows} == set(modules)
+    for name, row in rows:
+        for span in re.findall(r"`([A-Za-z_][\w.]*)`", row):
+            if not _has_attribute([modules[name], *classes[name]], span):
+                bad.append(f"echlab.{name} row: no {span}")
+
+    # (c) the verdict table lists exactly the verdict names that cli.py's handlers add
+    table = re.search(r"^\| subcommand \| verdict \| passes when \|\n\|[-|]+\|\n((?:\|.*\n)+)", text, flags=re.M)
+    documented = set()
+    for command, verdicts in re.findall(r"^\|([^|]*)\|([^|]*)\|", table[1], flags=re.M):
+        documented |= set(re.findall(r"`(\w+)`", verdicts))
+        if command.strip() and command.strip(" `").replace(" ", ".") not in cli.COMMANDS:
+            bad.append(f"verdict table: no command {command}")
+    with open(cli.__file__) as fh:
+        added = {node.args[0].value for node in ast.walk(ast.parse(fh.read()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_verdict"
+                 and isinstance(node.args[0], ast.Constant)}
+    bad += [f"verdict {v} is not in the table" for v in sorted(added - documented)]
+    bad += [f"verdict {v} is not added by cli.py" for v in sorted(documented - added)]
+
+    # (d) every --flag is a flag of some command, a common flag, or a listed foreign one
+    shown = set(re.findall(r"--([A-Za-z][\w-]*)", text))
+    flags = {flag for _, spec in cli.COMMANDS.values() for flag, _, _ in spec} | {"seed", "out", "format", "config"}
+    bad += [f"no flag --{flag}" for flag in sorted(shown - flags - README_FOREIGN_FLAGS)]
+    assert README_FOREIGN_FLAGS <= shown, "a foreign flag the README no longer shows leaves the list"
+
+    # (e) the command block parses (and is not run), one line per command at least
+    parsed = set()
+    for line in (line for block in fenced for line in block.splitlines() if line.startswith("echlab ")):
+        try:
+            parsed.add(cli.build_parser().parse_args(shlex.split(line)[1:]).command)
+        except cli.UsageError as ex:
+            bad.append(f"{line!r}: {ex}")
+    bad += [f"no command line for {c}" for c in sorted(set(cli.COMMANDS) - parsed)]
+    assert not bad, bad

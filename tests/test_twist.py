@@ -120,8 +120,15 @@ def test_hofer_norm_bound():
 
 
 def test_monotonicity_certificate():
-    with pytest.raises(Exception):
-        profile_from_samples([0.0, 0.5, 1.0], [1.0, 2.0, 0.0])
+    for build, message in (
+        (lambda: profile_from_samples([0.0, 0.5, 1.0], [1.0, 2.0, 0.0]), "profile increases near r="),
+        # 1 + 1e-6 s - s^2 / 2 rises by about 5e-13 near 0, inside the sample
+        # test's slack, so only the slope check refuses it
+        (lambda: TwistProfile([Segment(0.0, 1.0, ((1.0, 0), (1e-6, 1), (-0.5, 2)))]),
+         r"positive slope on segment \[0.0, 1.0\]"),
+    ):
+        with pytest.raises(MonotonicityError, match=message):
+            build()
 
 
 @pytest.mark.parametrize("build", [
